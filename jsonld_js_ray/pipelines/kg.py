@@ -1,10 +1,13 @@
 """The flagship KG-construction pipeline (BASELINE.json north_star).
 
-read_parquet(repo files) → extract/sha256 (stateless mb) →
-expand+toRDF (actor pool, broadcast context snapshot) → exact quad dedup
-(map-side combine + hash shuffle) → entity-link aggregation (partial
-per-batch combine + small groupby) → partitioned (subj, pred, obj)
-Parquet with a per-partition resume manifest.
+read_parquet(repo files) → ONE fused map task per batch: extract/sha256
+→ expand+toRDF (``expand_batch``: a per-worker stage cached on the
+broadcast context snapshot) → per-partition partial dedup → quad hash →
+route, one send per writer actor → writer actors dedup per partition and
+write partitioned (subj, pred, obj) Parquet → per-partition resume
+manifest. The map stages are plain functions, so Ray fuses them into one
+task-pool operator that runs in already-warm pooled workers; the only
+actors are the writers.
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -12,23 +15,22 @@ Every stage streams: nothing materializes the full dataset on the driver.
 from __future__ import annotations
 
 import os
+import time
 from typing import Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
-from ..stages.dedup import dedup_quads, dedup_quads_per_partition
-from ..stages.expand_quads import DocStatus, ExpandToQuads
+from ..stages.dedup import add_quad_hash, partial_dedup_batch
+from ..stages.expand_quads import DocStatus, expand_batch
 from ..stages.extract import extract_batch
+from ..stages.partition_sink import WriterPool, make_router
 from ..state import checkpoint
+from ..util_ray import cluster_cpus, default_concurrency
 
 DEFAULT_PARTITIONS = 64
-
-
-from ..util_ray import default_concurrency as _cap_concurrency
 
 
 def read_repo_files(input_path: str):
@@ -39,32 +41,35 @@ def read_repo_files(input_path: str):
         input_path, columns=["repo", "path", "commit", "lang", "content"])
 
 
+def _without_partitions(skip: set):
+    skip = pa.array(sorted(skip), pa.int32())
+    return lambda b: b.filter(
+        pc.invert(pc.is_in(b.column("partition_id"), value_set=skip)))
+
+
 def build_quads(ds, snapshot=None, num_partitions: int = DEFAULT_PARTITIONS,
                 concurrency: Optional[int] = None, batch_size: int = 1024,
                 skip_partitions: Optional[set] = None):
-    """repo-files Dataset → quad Dataset (lazy, streaming)."""
+    """repo-files Dataset → quad Dataset (lazy, streaming).
+
+    ``concurrency`` caps the concurrent map tasks (None: as many as free
+    CPUs allow). Stages mapped after this one must pass the same value,
+    or Ray will not fuse them into the same task."""
     import ray
     if snapshot is None:
         snapshot = build_context_snapshot()
     snapshot_ref = ray.put(snapshot)
-    concurrency = _cap_concurrency(concurrency)
 
-    ds = ds.map_batches(
-        lambda b: extract_batch(b, num_partitions=num_partitions),
-        batch_format="pyarrow")
+    ds = ds.map_batches(extract_batch,
+                        fn_kwargs={"num_partitions": num_partitions},
+                        batch_format="pyarrow", concurrency=concurrency)
     if skip_partitions:
-        skip = pa.array(sorted(skip_partitions), pa.int32())
-        ds = ds.map_batches(
-            lambda b: b.filter(
-                pc.invert(pc.is_in(b.column("partition_id"),
-                                   value_set=skip))),
-            batch_format="pyarrow")
-    ds = ds.map_batches(
-        ExpandToQuads,
-        fn_constructor_kwargs={"snapshot_ref": snapshot_ref},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1)
-    return ds
+        ds = ds.map_batches(_without_partitions(skip_partitions),
+                            batch_format="pyarrow", concurrency=concurrency)
+    return ds.map_batches(expand_batch,
+                          fn_kwargs={"snapshot_ref": snapshot_ref},
+                          batch_format="pyarrow", batch_size=batch_size,
+                          concurrency=concurrency)
 
 
 def run_kg_pipeline(input_path: str, out_dir: str,
@@ -72,9 +77,11 @@ def run_kg_pipeline(input_path: str, out_dir: str,
                     concurrency: Optional[int] = None,
                     batch_size: int = 1024,
                     dedup="partition",
-                    write_mode: str = "stream",
                     resume: bool = True) -> dict:
-    """End-to-end run with resumable partitioned output. Returns metrics."""
+    """End-to-end run with resumable partitioned output. Returns metrics.
+
+    A true ``dedup`` drops duplicate quads within each output partition;
+    a false one writes every quad."""
     completed = checkpoint.completed_partitions(out_dir) if resume else set()
     data_dir = os.path.join(out_dir, "quads")
 
@@ -94,151 +101,56 @@ def run_kg_pipeline(input_path: str, out_dir: str,
     ds = read_repo_files(input_path)
     if completed:
         # cheap pre-scan (read + vectorized extract only — no expansion) to
-        # decide whether any partition remains; avoids an empty all-to-all
-        # shuffle + empty partitioned write on a fully-resumed job
+        # decide whether any partition remains; avoids starting the writer
+        # pool and an empty partitioned write on a fully-resumed job
         probe = ds.map_batches(
-            lambda b: extract_batch(b, num_partitions=num_partitions),
-            batch_format="pyarrow")
-        skip = pa.array(sorted(completed), pa.int32())
-        probe = probe.map_batches(
-            lambda b: b.filter(
-                pc.invert(pc.is_in(b.column("partition_id"),
-                                   value_set=skip))),
-            batch_format="pyarrow")
+            extract_batch, fn_kwargs={"num_partitions": num_partitions},
+            batch_format="pyarrow").map_batches(
+            _without_partitions(completed), batch_format="pyarrow")
         if probe.count() == 0:
             summary = {"n_quads": 0, "n_partitions": 0,
                        "resumed_skipped": sorted(completed)}
             checkpoint.write_job_summary(out_dir, summary)
             return summary
 
-    if write_mode == "stream":
-        # streaming hash exchange into writer actors: no all-to-all
-        # barrier; the sort-shuffle reduce did not scale on this box
-        # (see stages/partition_sink.py)
-        from ..stages.dedup import add_quad_hash, partial_dedup_batch
-        from ..stages.partition_sink import WriterPool, make_router
-        from ..util_ray import cluster_cpus
-        cpus = cluster_cpus()
-        num_writers = max(2, min(16, cpus // 4))
-        expand_conc = _cap_concurrency(concurrency)
-        # leave a full slot per writer plus headroom: oversubscribing
-        # the expand pool starves the router/read tasks (measured: 27
-        # expanders + 8 writers = 83 s vs 23 expanders = 46 s at 4M rows)
-        quads = build_quads(ds, num_partitions=num_partitions,
-                            concurrency=min(expand_conc,
-                                            max(1, cpus - num_writers
-                                                - 1)),
-                            batch_size=batch_size,
-                            skip_partitions=completed)
-        if dedup:
-            quads = quads.map_batches(partial_dedup_batch,
-                                      batch_format="pyarrow")
-            quads = quads.map_batches(
-                lambda b: add_quad_hash(b, None), batch_format="pyarrow")
-        pool = WriterPool(data_dir, num_writers, dedup=bool(dedup))
-        routed = quads.map_batches(
-            make_router(pool.handles(), num_writers),
-            batch_format="pyarrow")
-        import time as _time
-        _t0 = _time.time()
-        routed.count()  # drive the stream to completion
-        _stream_sec = _time.time() - _t0
-        _t0 = _time.time()
-        merged = pool.finalize()
-        _finalize_sec = _time.time() - _t0
-        pool.shutdown()
-        counts = {pid: e["n_quads"] for pid, e in merged.items()}
-        ndocs = {pid: e["n_docs"] for pid, e in merged.items()}
-        phase_timings = {"stream_sec": round(_stream_sec, 2),
-                         "finalize_sec": round(_finalize_sec, 2)}
-    else:
-        quads = build_quads(ds, num_partitions=num_partitions,
-                            concurrency=concurrency,
-                            batch_size=batch_size,
-                            skip_partitions=completed)
-        # One groupby(partition_id) shuffle serves double duty: dedup
-        # scope AND output co-location (one block → one file per hive
-        # partition; without it every block × partition pair becomes its
-        # own tiny file — observed 1700+ files for 21k rows).
-        # dedup="global" adds a quad-hash shuffle first for strict
-        # cross-partition dedup.
-        if dedup == "global":
-            quads = dedup_quads(quads)
-            quads = quads.groupby("partition_id").map_groups(
-                lambda df: df, batch_format="pandas")
-        elif dedup:
-            quads = dedup_quads_per_partition(quads)
-        else:
-            quads = quads.groupby("partition_id").map_groups(
-                lambda df: df, batch_format="pandas")
-        quads.write_parquet(data_dir, partition_cols=["partition_id"])
+    # streaming hash exchange into writer actors: no all-to-all barrier
+    # (see stages/partition_sink.py)
+    num_writers = max(2, min(16, cluster_cpus() // 4))
+    quads = build_quads(ds, num_partitions=num_partitions,
+                        concurrency=concurrency, batch_size=batch_size,
+                        skip_partitions=completed)
+    if dedup:
+        quads = quads.map_batches(partial_dedup_batch,
+                                  batch_format="pyarrow",
+                                  concurrency=concurrency)
+        quads = quads.map_batches(add_quad_hash, fn_kwargs={
+            "num_buckets": None}, batch_format="pyarrow",
+            concurrency=concurrency)
+    pool = WriterPool(data_dir, num_writers, dedup=bool(dedup))
+    routed = quads.map_batches(make_router(pool.handles(), num_writers),
+                               batch_format="pyarrow",
+                               concurrency=concurrency)
+    t0 = time.time()
+    routed.count()  # drive the stream to completion
+    stream_sec = time.time() - t0
+    t0 = time.time()
+    merged = pool.finalize()
+    finalize_sec = time.time() - t0
+    pool.shutdown()
 
-        # per-partition metrics: quad counts from parquet metadata only
-        # (no data read); doc counts via a distributed two-stage
-        # distinct — never materialize the written quads on the driver
-        dataset = pads.dataset(data_dir, partitioning="hive")
-        counts = {}
-        for frag in dataset.get_fragments():
-            part = _hive_partition_id(frag.path)
-            counts[part] = counts.get(part, 0) + frag.count_rows()
-        ndocs = _distinct_docs_per_partition(data_dir)
-
-    for part, n in counts.items():
+    for part, e in merged.items():
         if part in completed:
             continue
         checkpoint.write_partition_entry(
-            out_dir, part, n_quads=n,
-            n_docs=int(ndocs.get(part, 0)),
+            out_dir, part, n_quads=e["n_quads"], n_docs=e["n_docs"],
             input_fingerprint=os.path.basename(str(input_path)))
-    total = {"n_quads": int(sum(counts.values())),
-             "n_partitions": len(counts),
-             "resumed_skipped": sorted(completed)}
-    if write_mode == "stream":
-        total["phases"] = phase_timings
+    total = {"n_quads": sum(e["n_quads"] for e in merged.values()),
+             "n_partitions": len(merged),
+             "resumed_skipped": sorted(completed),
+             "phases": {"stream_sec": round(stream_sec, 2),
+                        "finalize_sec": round(finalize_sec, 2)}}
     checkpoint.write_job_summary(out_dir, total)
     return total
-
-
-def _distinct_docs_per_partition(data_dir: str) -> dict:
-    """Distinct content_sha256 per partition_id over a written hive
-    dataset — two-stage distinct (batch-local dedup → global pair
-    groupby → per-partition count), all distributed; the driver only
-    receives one row per partition."""
-    import ray
-    from ray.data.aggregate import Count, Sum
-
-    mds = ray.data.read_parquet(data_dir,
-                                columns=["content_sha256"],
-                                partitioning="hive")
-
-    def local_pairs(b: pa.Table) -> pa.Table:
-        df = (b.select(["partition_id", "content_sha256"]).to_pandas()
-              .drop_duplicates())
-        df["partition_id"] = df["partition_id"].astype("int64")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    pair = (mds.map_batches(local_pairs, batch_format="pyarrow")
-            .groupby(["partition_id", "content_sha256"])
-            .aggregate(Count(alias_name="_c")))
-
-    def local_counts(b: pa.Table) -> pa.Table:
-        df = b.select(["partition_id"]).to_pandas()
-        g = (df.groupby("partition_id").size()
-             .rename("n_docs").reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = (pair.map_batches(local_counts, batch_format="pyarrow")
-           .groupby("partition_id")
-           .aggregate(Sum("n_docs", alias_name="n_docs")))
-    return {int(r["partition_id"]): int(r["n_docs"])
-            for r in out.take_all()}
-
-
-def _hive_partition_id(path: str) -> int:
-    for seg in path.split(os.sep):
-        if seg.startswith("partition_id="):
-            return int(seg.split("=", 1)[1])
-    return -1
 
 
 def entity_summary(quads_ds):
@@ -308,7 +220,7 @@ def doc_status(ds, snapshot=None, concurrency: Optional[int] = None,
         DocStatus,
         fn_constructor_kwargs={"snapshot_ref": snapshot_ref},
         batch_format="pyarrow", batch_size=batch_size,
-        concurrency=_cap_concurrency(concurrency), num_cpus=1)
+        concurrency=default_concurrency(concurrency), num_cpus=1)
 
 
 def repo_files_for_sf_dir(sf_dir: str) -> str:

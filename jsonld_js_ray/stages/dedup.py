@@ -23,14 +23,17 @@ QUAD_COLS = ["subject", "predicate", "object_kind", "object_value",
 DEFAULT_BUCKETS = 64
 
 
-def _dedup_df(df: pd.DataFrame) -> pd.DataFrame:
+def _dedup_df(df: pd.DataFrame, subset=QUAD_COLS) -> pd.DataFrame:
     df = df.sort_values(["content_sha256", "path"], kind="stable")
-    return df.drop_duplicates(subset=QUAD_COLS, keep="first")
+    return df.drop_duplicates(subset=subset, keep="first")
 
 
 def partial_dedup_batch(batch: pa.Table) -> pa.Table:
-    """Map-side combiner: drop duplicate quads within one batch."""
-    df = _dedup_df(batch.to_pandas())
+    """Map-side combiner: drop duplicate quads within one batch and one
+    partition — the scope the partition sink dedups on. A quad that
+    several partitions share stays once in each of them, whatever the
+    batch size."""
+    df = _dedup_df(batch.to_pandas(), QUAD_COLS + ["partition_id"])
     return pa.Table.from_pandas(df, preserve_index=False,
                                 schema=batch.schema)
 
@@ -84,15 +87,3 @@ def dedup_quads(ds, num_buckets: int = DEFAULT_BUCKETS):
                                                batch_format="pandas")
     return ds.drop_columns(["quad_hash", "quad_hash2", "dedup_bucket"])
 
-
-def dedup_quads_per_partition(ds):
-    """Partition-scoped dedup fused with the output-layout shuffle.
-
-    ONE ``groupby(partition_id)`` both co-locates each output partition
-    (one block → one file in the hive write) and drops duplicate quads
-    within it — the common case, since subjects embed the repo and
-    ``partition_id = hash(repo)``, so duplicates rarely cross partitions.
-    Use ``dedup_quads`` (two shuffles) when strict global dedup matters."""
-    ds = ds.map_batches(partial_dedup_batch, batch_format="pyarrow")
-    return ds.groupby("partition_id").map_groups(_dedup_bucket,
-                                                 batch_format="pandas")

@@ -1,10 +1,11 @@
-"""Stage 2: expand + toRDF per document (stateful actor pool).
+"""Stage 2: expand + toRDF per document.
 
-The core transform of the KG pipeline (SURVEY.md §3.4/§7.2): a callable
-class for ``map_batches(ExpandToQuads, concurrency=N, batch_size=B)``.
-Per-actor state (built ONCE in ``__init__``, the Ray analog of the
-reference's module-level context caches, /root/reference/lib/jsonld.js:
-100-103, lib/ContextResolver.js:26-29):
+The core transform of the KG pipeline (SURVEY.md §3.4/§7.2): the callable
+class ``ExpandToQuads`` and its task-side entry point ``expand_batch``,
+which the KG pipeline maps as a plain function so Ray fuses it with the
+stages around it. Per-stage state (built ONCE in ``__init__``, the Ray
+analog of the reference's module-level context caches, jsonld.js
+lib/jsonld.js:100-103, lib/ContextResolver.js:26-29):
 
   * the broadcast context snapshot (``ray.put`` object ref or plain dict),
   * a ContextResolver with its processed-context LRU.
@@ -97,7 +98,8 @@ def doc_quads(content: str, resolver: ContextResolver,
 
 
 class ExpandToQuads:
-    """Actor-pool stage: Arrow batch of repo files → Arrow batch of quads."""
+    """Arrow batch of repo files → Arrow batch of quads (callable class;
+    tasks reach it through ``expand_batch``)."""
 
     def __init__(self, snapshot_ref=None, base: Optional[str] = None,
                  prefix_bnodes: bool = True, safe: bool = False,
@@ -164,6 +166,23 @@ class ExpandToQuads:
         return pa.table(
             {n: pa.array(cols[n], QUAD_SCHEMA.field(n).type)
              for n in QUAD_SCHEMA.names})
+
+
+# (snapshot_ref, ExpandToQuads) of the last snapshot this worker process
+# expanded with. It must live at module level: Ray pickles a nested
+# function's globals by value, so a closure's cache would start empty in
+# every task.
+_STAGE: Optional[tuple] = None
+
+
+def expand_batch(batch: pa.Table, snapshot_ref) -> pa.Table:
+    """Task-side ``ExpandToQuads``: one stage per worker process, reused
+    across tasks while ``snapshot_ref`` stays the same and rebuilt when a
+    new snapshot arrives (only the latest is kept)."""
+    global _STAGE
+    if _STAGE is None or _STAGE[0] != snapshot_ref:
+        _STAGE = (snapshot_ref, ExpandToQuads(snapshot_ref=snapshot_ref))
+    return _STAGE[1](batch)
 
 
 class DocStatus:

@@ -5,9 +5,11 @@ reduce phase did not scale on the target box) with a raw-actor pattern —
 the Dataset API cannot express a sink whose shared mutable state (the
 cross-flush dedup seen-set) must outlive any one batch: a small pool of
 ``PartitionWriter`` actors, each owning ``partition_id % W`` partitions.
-Upstream ``map_batches`` tasks split every batch by partition and ship
-each sub-table to its owner actor through the object store (zero-copy
-Arrow); each task ``ray.get``s its send acks, which is the backpressure.
+The upstream fused map task groups every batch by owner and makes ONE
+send per writer through the object store (zero-copy Arrow), so an
+exchange costs at most W sends per batch, not one per partition present;
+the writer splits what it receives by ``partition_id`` itself. Each task
+``ray.get``s its send acks, which is the backpressure.
 
 Each actor holds the mutable per-partition dedup state — within one
 flush window winners are selected on the FULL quad columns (exact);
@@ -25,13 +27,23 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .dedup import QUAD_COLS
 
-ACK_BATCH = 64  # outstanding sends per routing task before ray.get
+
+def _split(table: pa.Table, keys: np.ndarray):
+    """Yield ``(key, rows of table with that key)`` per distinct key,
+    keeping row order within each key."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    sorted_tbl = table.take(pa.array(order))
+    starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    ends = np.append(starts[1:], len(sorted_keys))
+    for s, e in zip(starts, ends):
+        yield int(sorted_keys[s]), sorted_tbl.slice(int(s), int(e - s))
 
 
 def _writer_class():
@@ -54,8 +66,11 @@ def _writer_class():
             self.seen: dict[int, tuple] = {}
             self.file_idx = 0
 
-        def add(self, pid: int, table: pa.Table) -> int:
-            self.buffers.setdefault(pid, []).append(table)
+        def add(self, table: pa.Table) -> int:
+            pids = table.column("partition_id").to_numpy(
+                zero_copy_only=False)
+            for pid, sub in _split(table, pids):
+                self.buffers.setdefault(pid, []).append(sub)
             self.buffered_rows += table.num_rows
             if self.buffered_rows >= self.flush_rows:
                 # hand the full buffers to a background flusher so adds
@@ -86,13 +101,11 @@ def _writer_class():
             self._flush_buffers(snapshot)
 
         def _flush_buffers(self, buffers):
-            import numpy as np
             for pid, tables in list(buffers.items()):
                 if not tables:
                     continue
                 tbl = pa.concat_tables(tables)
                 if self.dedup and "quad_hash" in tbl.column_names:
-                    from .dedup import QUAD_COLS
                     h = tbl.column("quad_hash").to_numpy(
                         zero_copy_only=False)
                     uniq, first_idx, counts = np.unique(
@@ -190,6 +203,13 @@ def _writer_class():
 
 
 class WriterPool:
+    """``num_writers`` ``PartitionWriter`` actors of 0.5 CPU each.
+
+    The writers hold their CPUs for the whole job, and the map tasks that
+    feed them need a whole CPU each. So a Ray session needs more CPUs than
+    ``num_writers / 2``: with the pipeline's two writers, ``num_cpus=1``
+    leaves no CPU for any task and the job hangs."""
+
     def __init__(self, out_dir: str, num_writers: int,
                  dedup: bool = True, flush_rows: int = 1_000_000):
         cls = _writer_class()
@@ -220,33 +240,17 @@ class WriterPool:
 
 
 def make_router(handles: list, num_writers: int):
-    """A map_batches function that routes each batch's rows to their
-    partition's owner actor. Sends are acked before the task returns —
-    that ack IS the streaming backpressure."""
-    import numpy as np
+    """A map_batches function that sends each batch's rows to their
+    partitions' owner actors, one ``add`` per owner. Sends are acked
+    before the task returns — that ack IS the streaming backpressure."""
     import ray
 
     def route(batch: pa.Table) -> pa.Table:
         if batch.num_rows:
-            pids = batch.column("partition_id").to_numpy(
-                zero_copy_only=False)
-            order = np.argsort(pids, kind="stable")
-            sorted_tbl = batch.take(pa.array(order))
-            sorted_pids = pids[order]
-            bounds = np.flatnonzero(np.diff(sorted_pids)) + 1
-            starts = np.concatenate([[0], bounds])
-            ends = np.concatenate([bounds, [len(sorted_pids)]])
-            refs = []
-            for s, e in zip(starts, ends):
-                pid = int(sorted_pids[s])
-                sub = sorted_tbl.slice(int(s), int(e - s))
-                actor = handles[pid % num_writers]
-                refs.append(actor.add.remote(pid, sub))
-                if len(refs) >= ACK_BATCH:
-                    ray.get(refs)
-                    refs = []
-            if refs:
-                ray.get(refs)
+            owners = batch.column("partition_id").to_numpy(
+                zero_copy_only=False) % num_writers
+            ray.get([handles[w].add.remote(sub)
+                     for w, sub in _split(batch, owners)])
         return pa.table({"rows_routed": pa.array([batch.num_rows],
                                                  pa.int64())})
 
