@@ -2,7 +2,8 @@
 
 Default: runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line:
+num_cpus=$RAY_GRAFT_CPUS)`` (default: the host's CPUs, at most 32) and
+prints ONE JSON line:
 ``{"metric": ..., "value": sec, "unit": "sec", "queries": {...},
 "sf": ..., "num_cpus": N, ...}``.
 
@@ -23,6 +24,9 @@ import shutil
 import subprocess
 import sys
 import time
+
+# Ray CPUs when RAY_GRAFT_CPUS is unset: the host's, at most 32
+DEFAULT_CPUS = min(32, os.cpu_count() or 1)
 
 
 def _init_ray(num_cpus: int):
@@ -52,7 +56,7 @@ def _kg_run(corpus: str, num_cpus: int, tag: str) -> tuple[float, dict]:
 
 
 def _bench_once() -> dict:
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", DEFAULT_CPUS))
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     _init_ray(num_cpus)
 
@@ -132,7 +136,7 @@ def _bench_once() -> dict:
 
 
 def _kg_only() -> dict:
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", DEFAULT_CPUS))
     n_rows = int(os.environ.get("GRAFT_ROWS", "4000000"))
     _init_ray(num_cpus)
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -221,7 +225,7 @@ def main():
         hi = int(os.environ.get("GRAFT_SCALING_HI", "32"))
         rows = int(os.environ.get("GRAFT_SCALING_ROWS", "4000000"))
         # pre-materialize the corpus (cached) so neither run pays generation
-        _init_ray(int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+        _init_ray(int(os.environ.get("RAY_GRAFT_CPUS", DEFAULT_CPUS)))
         sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
         from jsonld_js_ray.sources.repo_files import repo_files_path_n
         repo_files_path_n(rows)

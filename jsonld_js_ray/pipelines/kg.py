@@ -7,7 +7,8 @@ route, one send per writer actor → writer actors dedup per partition and
 write partitioned (subj, pred, obj) Parquet → per-partition resume
 manifest. The map stages are plain functions, so Ray fuses them into one
 task-pool operator that runs in already-warm pooled workers; the only
-actors are the writers.
+actors are the writers, and they live for the Ray session: a job checks
+out an idle set and returns it at the end (stages/partition_sink.py).
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -127,16 +128,20 @@ def run_kg_pipeline(input_path: str, out_dir: str,
             "num_buckets": None}, batch_format="pyarrow",
             concurrency=concurrency)
     pool = WriterPool(data_dir, num_writers, dedup=bool(dedup))
-    routed = quads.map_batches(make_router(pool.handles(), num_writers),
-                               batch_format="pyarrow",
-                               concurrency=concurrency)
-    t0 = time.time()
-    routed.count()  # drive the stream to completion
-    stream_sec = time.time() - t0
-    t0 = time.time()
-    merged = pool.finalize()
-    finalize_sec = time.time() - t0
-    pool.shutdown()
+    try:
+        routed = quads.map_batches(make_router(pool.handles(), num_writers),
+                                   batch_format="pyarrow",
+                                   concurrency=concurrency)
+        t0 = time.time()
+        routed.count()  # drive the stream to completion
+        stream_sec = time.time() - t0
+        t0 = time.time()
+        merged = pool.finalize()
+        finalize_sec = time.time() - t0
+    finally:
+        # returns the writers to the session, or kills them if the job
+        # failed before finalize
+        pool.shutdown()
 
     for part, e in merged.items():
         if part in completed:

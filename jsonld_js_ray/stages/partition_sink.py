@@ -18,13 +18,20 @@ near-exact first-write-wins dedup (collision odds negligible below
 ~10^15 quads; 64 bits alone would collide at ~5e9). Flushes write
 per-partition Parquet files plus manifest counts at finalize.
 
-Fault story: a lost writer loses only its partitions; they are absent
-from the manifest, so a resumed run recomputes exactly those
-(state/checkpoint.py)."""
+Writers live for the Ray session, not for one job: ``WriterPool`` checks
+out an idle set and resets it, so a job does not wait for writer
+processes to start.
+
+Fault story: a writer lost during a job loses only its partitions; they
+are absent from the manifest, so a resumed run recomputes exactly those
+(state/checkpoint.py). The failed job kills its other writers instead of
+returning them. A writer lost between jobs is found dead at the next
+checkout, and its whole set is replaced."""
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Optional
 
 import numpy as np
@@ -49,14 +56,23 @@ def _split(table: pa.Table, keys: np.ndarray):
 def _writer_class():
     import ray
 
-    @ray.remote(num_cpus=0.5, max_restarts=0)
+    @ray.remote(num_cpus=0, max_restarts=0)
     class PartitionWriter:
-        def __init__(self, out_dir: str, writer_id: int,
+        def __init__(self, writer_id: int, out_dir: str,
                      dedup: bool = True, flush_rows: int = 1_000_000):
-            self.out_dir = out_dir
             self.writer_id = writer_id
+            self._flusher = None
+            self.begin(out_dir, dedup, flush_rows)
+
+        def begin(self, out_dir: str, dedup: bool, flush_rows: int):
+            """Start a job: write under ``out_dir`` from a clean state."""
+            self._join_flusher()
+            self.out_dir = out_dir
             self.dedup = dedup
             self.flush_rows = flush_rows
+            self._reset()
+
+        def _reset(self):
             self.buffers: dict[int, list[pa.Table]] = {}
             self.buffered_rows = 0
             self.flushed: dict[int, int] = {}   # pid -> rows written
@@ -82,7 +98,6 @@ def _writer_class():
                 self._join_flusher()
                 snapshot, self.buffers = self.buffers, {}
                 self.buffered_rows = 0
-                import threading
                 self._flusher = threading.Thread(
                     target=self._flush_buffers, args=(snapshot,),
                     daemon=True)
@@ -90,9 +105,8 @@ def _writer_class():
             return table.num_rows
 
         def _join_flusher(self):
-            fl = getattr(self, "_flusher", None)
-            if fl is not None:
-                fl.join()
+            if self._flusher is not None:
+                self._flusher.join()
                 self._flusher = None
 
         def _flush(self):
@@ -189,34 +203,74 @@ def _writer_class():
                 self.flushed[pid] = self.flushed.get(pid, 0) + tbl.num_rows
 
         def finalize(self) -> dict:
+            """Flush the job's rows and return its per-partition counts.
+            The job's state is dropped after, so an idle writer holds no
+            seen-set."""
             self._join_flusher()
             self._flush()
-            return {
+            stats = {
                 "writer_id": self.writer_id,
                 "partitions": {int(pid): {
                     "n_quads": int(n),
                     "n_docs": len(self.docs.get(pid, ())),
                 } for pid, n in self.flushed.items()},
             }
+            self._reset()
+            return stats
 
     return PartitionWriter
 
 
-class WriterPool:
-    """``num_writers`` ``PartitionWriter`` actors of 0.5 CPU each.
+# Idle writer sets of this process's Ray session, keyed by (node ID of
+# this process, number of writers). Not the job ID: it restarts at 01000000
+# when a process shuts Ray down and starts it again.
+_IDLE: dict[tuple, list[list]] = {}
+_IDLE_LOCK = threading.Lock()
 
-    The writers hold their CPUs for the whole job, and the map tasks that
-    feed them need a whole CPU each. So a Ray session needs more CPUs than
-    ``num_writers / 2``: with the pipeline's two writers, ``num_cpus=1``
-    leaves no CPU for any task and the job hangs."""
+
+class WriterPool:
+    """``num_writers`` ``PartitionWriter`` actors checked out for one job.
+
+    Writers live for the Ray session: a pool takes an idle set when there
+    is one, resets it with ``begin``, and ``shutdown`` returns it after a
+    successful ``finalize``. So only the session's first job waits for
+    writer processes to start. Each pool pops its own set, so concurrent
+    jobs never share writers. A set with a dead writer is killed and
+    replaced by a new one.
+
+    The writers reserve no CPU: an idle one holds none that other work in
+    the session needs, and while one works on an ``add`` the map task
+    that sent it waits on the ack and holds its own CPU."""
 
     def __init__(self, out_dir: str, num_writers: int,
                  dedup: bool = True, flush_rows: int = 1_000_000):
-        cls = _writer_class()
+        import ray
         self.num_writers = num_writers
-        self.actors = [
-            cls.remote(out_dir, w, dedup=dedup, flush_rows=flush_rows)
-            for w in range(num_writers)]
+        self._key = (ray.get_runtime_context().get_node_id(), num_writers)
+        self._finalized = False
+        self.actors = self._checkout(out_dir, dedup, flush_rows)
+
+    def _checkout(self, out_dir, dedup, flush_rows) -> list:
+        import ray
+        while True:
+            with _IDLE_LOCK:
+                for key in [k for k in _IDLE if k[0] != self._key[0]]:
+                    del _IDLE[key]   # sets of an earlier Ray session
+                idle = _IDLE.get(self._key)
+                actors = idle.pop() if idle else None
+            if actors is None:
+                break
+            try:
+                ray.get([a.begin.remote(out_dir, dedup, flush_rows)
+                         for a in actors])
+                return actors
+            except ray.exceptions.RayActorError:
+                _kill(actors)
+        # no ray.get here: new writers start up while the first map
+        # tasks run
+        cls = _writer_class()
+        return [cls.remote(w, out_dir, dedup=dedup, flush_rows=flush_rows)
+                for w in range(self.num_writers)]
 
     def handles(self):
         return list(self.actors)
@@ -224,6 +278,7 @@ class WriterPool:
     def finalize(self) -> dict:
         import ray
         stats = ray.get([a.finalize.remote() for a in self.actors])
+        self._finalized = True
         merged: dict[int, dict] = {}
         for st in stats:
             for pid, entry in st["partitions"].items():
@@ -234,9 +289,22 @@ class WriterPool:
         return merged
 
     def shutdown(self):
-        import ray
-        for a in self.actors:
-            ray.kill(a)
+        """Return the writers to the session after a successful
+        ``finalize``; otherwise kill them."""
+        actors, self.actors = self.actors, []
+        if not actors:
+            return
+        if self._finalized:
+            with _IDLE_LOCK:
+                _IDLE.setdefault(self._key, []).append(actors)
+        else:
+            _kill(actors)
+
+
+def _kill(actors: list):
+    import ray
+    for a in actors:
+        ray.kill(a)
 
 
 def make_router(handles: list, num_writers: int):

@@ -1,13 +1,15 @@
 """The KG pipeline's exchange: per-partition map-side dedup, one send per
-writer actor, the per-worker expand-stage cache, and the fused task path
-on a small Ray session."""
+writer actor, the per-worker expand-stage cache, session-lived writers,
+and the fused task path on a small Ray session."""
 
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 import zlib
+from collections import Counter
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -20,8 +22,11 @@ from jsonld_js_ray.stages import expand_quads as eq
 from jsonld_js_ray.stages.dedup import (QUAD_COLS, add_quad_hash,
                                         partial_dedup_batch)
 from jsonld_js_ray.stages.extract import extract_batch
+from jsonld_js_ray.state import checkpoint
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# run_kg_pipeline's writer-pool size on the 4-CPU test session
+NUM_WRITERS = 2
 SHARED_DOC = json.dumps({
     "@context": {"@vocab": "http://schema.org/"},
     "@id": "https://shared.example/thing", "name": "shared",
@@ -200,29 +205,140 @@ def test_shared_document_reaches_both_fork_partitions(ray_session, tmp_path,
         assert _quad_set(mine) == expected, repo
 
 
-_TWO_CPU_SCRIPT = """
+def _oracle_pairs(table: pa.Table) -> Counter:
+    """The (partition_id, quad) pairs a job over ``table`` must write:
+    single-process ExpandToQuads, each pair once per partition."""
+    quads = eq.ExpandToQuads()(extract_batch(table, num_partitions=64))
+    return Counter(set(zip(quads.column("partition_id").to_pylist(),
+                           *[quads.column(c).to_pylist()
+                             for c in QUAD_COLS])))
+
+
+def _written_pairs(out: str) -> Counter:
+    t = pads.dataset(out + "/quads", partitioning="hive").to_table()
+    return Counter(zip(t.column("partition_id").to_pylist(),
+                       *[t.column(c).to_pylist() for c in QUAD_COLS]))
+
+
+def _live_writers(settled=lambda ids: True, timeout: float = 10.0) -> set:
+    """IDs of the session's PartitionWriter actors that are not dead,
+    polled until ``settled(ids)`` holds or ``timeout`` passes: a killed
+    actor takes a moment to show as dead. (``ray.util.state`` needs the
+    dashboard, which the test sessions do not start.)"""
+    import ray
+    deadline = time.monotonic() + timeout
+    while True:
+        ids = {a["ActorID"] for a in ray._private.state.actors().values()
+               if a["ActorClassName"].endswith("PartitionWriter")
+               and a["State"] != "DEAD"}
+        if settled(ids) or time.monotonic() > deadline:
+            return ids
+        time.sleep(0.1)
+
+
+def _corpus(tmp_path, table: pa.Table, n_files: int = 1) -> str:
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    step = -(-table.num_rows // n_files)
+    for i in range(n_files):
+        pq.write_table(table.slice(i * step, step),
+                       str(corpus / f"part-{i}.parquet"))
+    return str(corpus)
+
+
+def test_second_job_reuses_and_resets_the_writers(ray_session, tmp_path):
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    table = generate_repo_files(300)
+    corpus = _corpus(tmp_path, table)
+    expected = _oracle_pairs(table)
+    jobs = []
+    for i in range(2):
+        out = str(tmp_path / f"out{i}")
+        summary = run_kg_pipeline(corpus, out, resume=False)
+        writers = _live_writers(lambda ids: len(ids) == NUM_WRITERS)
+        counts = {e["partition_id"]: (e["n_quads"], e["n_docs"])
+                  for e in checkpoint.read_entries(out)}
+        jobs.append((summary["n_quads"], counts, writers))
+        assert _written_pairs(out) == expected
+    assert jobs[0][0] > 0
+    assert jobs[1][:2] == jobs[0][:2]
+    assert len(jobs[0][2]) == NUM_WRITERS
+    assert jobs[1][2] == jobs[0][2]
+
+
+def test_lost_idle_writer_is_replaced(ray_session, tmp_path):
+    import ray
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    from jsonld_js_ray.stages.partition_sink import WriterPool
+    table = generate_repo_files(200)
+    corpus = _corpus(tmp_path, table)
+    run_kg_pipeline(corpus, str(tmp_path / "out0"), resume=False)
+    old = _live_writers(lambda ids: len(ids) == NUM_WRITERS)
+    # check the idle set out and back in, to get a handle to kill
+    pool = WriterPool(str(tmp_path / "probe"), NUM_WRITERS)
+    lost = pool.handles()[0]
+    pool.finalize()
+    pool.shutdown()
+    ray.kill(lost)
+    out = str(tmp_path / "out1")
+    run_kg_pipeline(corpus, out, resume=False)
+    assert _written_pairs(out) == _oracle_pairs(table)
+    new = _live_writers(lambda ids: len(ids) == NUM_WRITERS)
+    assert len(new) == NUM_WRITERS and not new & old
+
+
+def test_failed_job_kills_its_writers(ray_session, tmp_path):
+    import ray
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    table = generate_repo_files(300)
+    corpus = _corpus(tmp_path, table, n_files=3)
+    # break the first page header of the middle file: its footer still
+    # reads, so the job starts (and plans and samples the other files)
+    # and fails in its read task
+    bad = os.path.join(corpus, "part-1.parquet")
+    with open(bad, "r+b") as fh:
+        fh.seek(4)
+        fh.write(b"\xff" * 64)
+    before = _live_writers()
+    with pytest.raises(ray.exceptions.RayTaskError):
+        run_kg_pipeline(corpus, str(tmp_path / "failed"), resume=False)
+    assert _live_writers(lambda ids: ids <= before) <= before
+    os.remove(bad)
+    out = str(tmp_path / "out")
+    run_kg_pipeline(corpus, out, resume=False)
+    good = pa.concat_tables([table.slice(0, 100), table.slice(200)])
+    assert _written_pairs(out) == _oracle_pairs(good)
+    assert len(_live_writers(lambda ids: len(ids) == NUM_WRITERS)) \
+        == NUM_WRITERS
+
+
+_SMALL_SESSION_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import ray
-ray.init(address="local", num_cpus=2, include_dashboard=False,
-         logging_level="ERROR")
+ray.init(address="local", num_cpus=int(sys.argv[3]),
+         include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from jsonld_js_ray.pipelines.kg import run_kg_pipeline
 from jsonld_js_ray.sources.repo_files import repo_files_path_n
-m = run_kg_pipeline(repo_files_path_n(300), sys.argv[2], resume=False)
-print("DONE", m["n_quads"], flush=True)
+for i in range(2):
+    m = run_kg_pipeline(repo_files_path_n(300), sys.argv[2] + str(i),
+                        resume=False)
+    print("DONE", m["n_quads"], flush=True)
 ray.shutdown()
 """
 
 
-def test_pipeline_finishes_on_two_cpus(tmp_path):
-    # two 0.5-CPU writers used to leave a 2-CPU session no slot for the
-    # read task once the expand actor took the other CPU
+@pytest.mark.parametrize("num_cpus", [1, 2])
+def test_pipeline_finishes_on_few_cpus(tmp_path, num_cpus):
+    # writers that reserved CPU used to leave a small session no slot for
+    # the read or map tasks; the second job runs on the first's writers
     script = tmp_path / "run.py"
-    script.write_text(_TWO_CPU_SCRIPT)
+    script.write_text(_SMALL_SESSION_SCRIPT)
     proc = subprocess.Popen(
-        [sys.executable, str(script), REPO_ROOT, str(tmp_path / "out")],
+        [sys.executable, str(script), REPO_ROOT, str(tmp_path / "out"),
+         str(num_cpus)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         start_new_session=True)
     try:
@@ -230,7 +346,8 @@ def test_pipeline_finishes_on_two_cpus(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("run_kg_pipeline hung on a 2-CPU Ray session")
+        pytest.fail(f"run_kg_pipeline hung on a {num_cpus}-CPU Ray session")
     assert proc.returncode == 0
-    done = [ln for ln in stdout.splitlines() if ln.startswith("DONE")]
-    assert done and int(done[0].split()[1]) > 0
+    done = [int(ln.split()[1]) for ln in stdout.splitlines()
+            if ln.startswith("DONE")]
+    assert len(done) == 2 and done[0] > 0 and done[1] == done[0]
