@@ -63,39 +63,16 @@ def _kg_doc_status(sf_dir: str):
     return doc_status(read_repo_files(repo_files_for_sf_dir(sf_dir)))
 
 
-def _kg_doc_events(sf_dir: str):
-    """Per-document processing events (warnings/errors) side output."""
-    import ray
-    from jsonld_js_ray.pipelines.kg import (
-        read_repo_files, repo_files_for_sf_dir)
-    from jsonld_js_ray.sources.contexts import build_context_snapshot
-    from jsonld_js_ray.stages.expand_quads import DocEvents
-    from jsonld_js_ray.stages.extract import extract_batch
-    from jsonld_js_ray.util_ray import default_concurrency
-    ds = read_repo_files(repo_files_for_sf_dir(sf_dir))
-    ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-    ref = ray.put(build_context_snapshot())
-    return ds.map_batches(DocEvents,
-                          fn_constructor_kwargs={"snapshot_ref": ref},
-                          batch_format="pyarrow", batch_size=512,
-                          concurrency=default_concurrency(8), num_cpus=1)
-
-
-def _kg_canonical(sf_dir: str):
-    import ray
-    from jsonld_js_ray.pipelines.kg import (
-        read_repo_files, repo_files_for_sf_dir)
-    from jsonld_js_ray.sources.contexts import build_context_snapshot
-    from jsonld_js_ray.stages.expand_quads import CanonizePerDoc
-    from jsonld_js_ray.stages.extract import extract_batch
-    ds = read_repo_files(repo_files_for_sf_dir(sf_dir))
-    ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-    ref = ray.put(build_context_snapshot())
-    from jsonld_js_ray.util_ray import default_concurrency
-    return ds.map_batches(CanonizePerDoc,
-                          fn_constructor_kwargs={"snapshot_ref": ref},
-                          batch_format="pyarrow", batch_size=512,
-                          concurrency=default_concurrency(), num_cpus=1)
+def _kg_doc_view(task: str):
+    """kg_doc_events / kg_canonical_nquads: one projection of the
+    per-document kernel pass, fused with extract into one task operator."""
+    def run(sf_dir: str):
+        from jsonld_js_ray.pipelines.kg import (
+            map_docs, read_repo_files, repo_files_for_sf_dir)
+        from jsonld_js_ray.stages import expand_quads
+        return map_docs(read_repo_files(repo_files_for_sf_dir(sf_dir)),
+                        getattr(expand_quads, task), batch_size=512)
+    return run
 
 
 def _jsonld_transform(stage_name: str):
@@ -602,7 +579,7 @@ def _media_audio_chunks(sf_dir: str):
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: repo files →
-    extract → expand+toRDF (actor pool) → dedup → quad Dataset."""
+    extract → expand+toRDF (fused tasks) → dedup → quad Dataset."""
     return _kg_quads("/root/testdata/sf0.001")
 
 
@@ -613,8 +590,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_entity_summary": _kg_entity_summary,
         "kg_merged_nodes": _kg_nodes,
         "kg_doc_status": _kg_doc_status,
-        "kg_doc_events": _kg_doc_events,
-        "kg_canonical_nquads": _kg_canonical,
+        "kg_doc_events": _kg_doc_view("events_batch"),
+        "kg_canonical_nquads": _kg_doc_view("canonical_batch"),
         "jsonld_expand_docs": _jsonld_transform("expand"),
         "jsonld_flatten_docs": _jsonld_transform("flatten"),
         "jsonld_compact_docs": _jsonld_transform("compact"),

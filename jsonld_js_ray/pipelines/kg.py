@@ -25,11 +25,11 @@ import pyarrow.compute as pc
 from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
 from ..stages.dedup import add_quad_hash, partial_dedup_batch
-from ..stages.expand_quads import DocStatus, expand_batch
+from ..stages.expand_quads import expand_batch, status_batch
 from ..stages.extract import extract_batch
 from ..stages.partition_sink import WriterPool, make_router
 from ..state import checkpoint
-from ..util_ray import cluster_cpus, default_concurrency
+from ..util_ray import cluster_cpus
 
 DEFAULT_PARTITIONS = 64
 
@@ -48,10 +48,14 @@ def _without_partitions(skip: set):
         pc.invert(pc.is_in(b.column("partition_id"), value_set=skip)))
 
 
-def build_quads(ds, snapshot=None, num_partitions: int = DEFAULT_PARTITIONS,
-                concurrency: Optional[int] = None, batch_size: int = 1024,
-                skip_partitions: Optional[set] = None):
-    """repo-files Dataset → quad Dataset (lazy, streaming).
+def map_docs(ds, task, snapshot=None,
+             num_partitions: int = DEFAULT_PARTITIONS,
+             concurrency: Optional[int] = None, batch_size: int = 1024,
+             skip_partitions: Optional[set] = None):
+    """repo-files Dataset → extract → ``task`` (lazy, streaming): one
+    projection of the per-document kernel pass (``expand_batch``,
+    ``status_batch``, ``canonical_batch`` or ``events_batch``), with the
+    stage cached per worker on the ``ray.put`` snapshot.
 
     ``concurrency`` caps the concurrent map tasks (None: as many as free
     CPUs allow). Stages mapped after this one must pass the same value,
@@ -67,10 +71,17 @@ def build_quads(ds, snapshot=None, num_partitions: int = DEFAULT_PARTITIONS,
     if skip_partitions:
         ds = ds.map_batches(_without_partitions(skip_partitions),
                             batch_format="pyarrow", concurrency=concurrency)
-    return ds.map_batches(expand_batch,
-                          fn_kwargs={"snapshot_ref": snapshot_ref},
+    return ds.map_batches(task, fn_kwargs={"snapshot_ref": snapshot_ref},
                           batch_format="pyarrow", batch_size=batch_size,
                           concurrency=concurrency)
+
+
+def build_quads(ds, snapshot=None, num_partitions: int = DEFAULT_PARTITIONS,
+                concurrency: Optional[int] = None, batch_size: int = 1024,
+                skip_partitions: Optional[set] = None):
+    """repo-files Dataset → quad Dataset (lazy, streaming)."""
+    return map_docs(ds, expand_batch, snapshot, num_partitions, concurrency,
+                    batch_size, skip_partitions)
 
 
 def run_kg_pipeline(input_path: str, out_dir: str,
@@ -214,18 +225,8 @@ def doc_status(ds, snapshot=None, concurrency: Optional[int] = None,
                batch_size: int = 128,
                num_partitions: int = DEFAULT_PARTITIONS):
     """Per-document status/metrics Dataset (quarantine accounting)."""
-    import ray
-    if snapshot is None:
-        snapshot = build_context_snapshot()
-    snapshot_ref = ray.put(snapshot)
-    ds = ds.map_batches(
-        lambda b: extract_batch(b, num_partitions=num_partitions),
-        batch_format="pyarrow")
-    return ds.map_batches(
-        DocStatus,
-        fn_constructor_kwargs={"snapshot_ref": snapshot_ref},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=default_concurrency(concurrency), num_cpus=1)
+    return map_docs(ds, status_batch, snapshot, num_partitions, concurrency,
+                    batch_size)
 
 
 def repo_files_for_sf_dir(sf_dir: str) -> str:

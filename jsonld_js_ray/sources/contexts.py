@@ -64,3 +64,14 @@ def build_context_snapshot() -> dict:
         CHAIN: {"@context": [SMALL1,
                              {"extra": "http://chain.example/extra"}]},
     }
+
+
+def load_snapshot(ref=None) -> dict:
+    """The snapshot a stage runs with: a dict as given, a ``ray.put``
+    object ref fetched, or, for None, a fresh local build."""
+    if ref is None:
+        return build_context_snapshot()
+    if isinstance(ref, dict):
+        return ref
+    import ray
+    return ray.get(ref)

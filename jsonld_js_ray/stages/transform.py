@@ -17,6 +17,7 @@ from typing import Optional
 import pyarrow as pa
 
 from ..core.resolver import ContextResolver
+from ..sources.contexts import load_snapshot
 
 
 def _get_broadcast(ref):
@@ -32,11 +33,7 @@ class _DocStage:
     out_col = "result"
 
     def __init__(self, snapshot_ref=None, options: Optional[dict] = None):
-        snapshot = _get_broadcast(snapshot_ref)
-        if snapshot is None:
-            from ..sources.contexts import build_context_snapshot
-            snapshot = build_context_snapshot()
-        self.snapshot = snapshot
+        self.snapshot = load_snapshot(snapshot_ref)
         self.options = options or {}
 
     def _opts(self):

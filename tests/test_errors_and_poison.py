@@ -82,11 +82,11 @@ def test_doc_quads_poison_falls_back_to_issuance_labels():
     assert any(q[0].startswith("_:b") for q in quads)
 
 
-def test_expand_stage_quarantines_poison_without_failing_batch():
+def _good_and_poison_batch():
     import pyarrow as pa
     good = json.dumps({"@context": {"@vocab": V}, "@id": V + "ok",
                        "name": "fine"})
-    batch = pa.table({
+    return pa.table({
         "repo": ["o/r", "o/r"],
         "path": ["good.jsonld", "poison.jsonld"],
         "commit": ["c", "c"],
@@ -97,8 +97,33 @@ def test_expand_stage_quarantines_poison_without_failing_batch():
         "is_jsonld": [True, True],
         "lang": ["jsonld", "jsonld"],
     })
+
+
+def test_expand_stage_quarantines_poison_without_failing_batch():
     stage = ExpandToQuads()
-    out = stage(batch)
+    out = stage(_good_and_poison_batch())
     paths = set(out.column("path").to_pylist())
     assert "good.jsonld" in paths          # good doc flowed through
     assert "poison.jsonld" in paths        # poison fell back, not dropped
+
+
+def test_poison_fallback_is_visible_in_every_view():
+    stage = ExpandToQuads()
+    batch = _good_and_poison_batch()
+    status = {r["path"]: r for r in stage.status(batch).to_pylist()}
+    assert status["poison.jsonld"]["status"] == "ok"
+    assert status["poison.jsonld"]["n_events"] >= 1
+    assert status["poison.jsonld"]["n_quads"] == 9 * 8
+    events = stage.events(batch).to_pylist()
+    assert {"repo": "o/r", "path": "poison.jsonld",
+            "content_sha256": "b" * 64,
+            "code": "canonicalization work factor exceeded",
+            "level": "warning"} in events
+    # a graph without canonical labels has no canonical N-Quads
+    canonical = stage.canonical(batch)
+    assert canonical.column("path").to_pylist() == ["good.jsonld"]
+    # quads keep their issuance-order labels, sha-prefixed
+    quads = stage(batch).to_pylist()
+    labels = {q["subject"] for q in quads if q["path"] == "poison.jsonld"}
+    assert len(labels) == 9
+    assert all(s.startswith("_:" + "b" * 16 + "-b") for s in labels)

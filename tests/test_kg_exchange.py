@@ -80,19 +80,26 @@ def test_partial_dedup_keeps_a_quad_in_every_partition():
     assert partial_dedup_batch(doubled).num_rows == kept.num_rows
 
 
-def test_expand_batch_reuses_stage_per_snapshot_ref(ray_session):
+@pytest.mark.parametrize("task,view", [
+    (eq.expand_batch, eq.ExpandToQuads.__call__),
+    (eq.status_batch, eq.ExpandToQuads.status),
+    (eq.canonical_batch, eq.ExpandToQuads.canonical),
+    (eq.events_batch, eq.ExpandToQuads.events),
+], ids=["expand_batch", "status_batch", "canonical_batch", "events_batch"])
+def test_expand_batch_reuses_stage_per_snapshot_ref(ray_session, task, view):
     import ray
     from jsonld_js_ray.sources.contexts import build_context_snapshot
     snapshot = build_context_snapshot()
     batch = extract_batch(generate_repo_files(40))
     ref1 = ray.put(snapshot)
-    out = eq.expand_batch(batch, ref1)
-    stage = eq._STAGE[1]
-    assert out.equals(eq.ExpandToQuads(snapshot_ref=snapshot)(batch))
     eq.expand_batch(batch, ref1)
+    stage = eq._STAGE[1]
+    out = task(batch, ref1)
+    # the four task functions share one stage per snapshot
     assert eq._STAGE[1] is stage
+    assert out.equals(view(eq.ExpandToQuads(snapshot_ref=snapshot), batch))
     ref2 = ray.put(snapshot)
-    assert eq.expand_batch(batch, ref2).equals(out)
+    assert task(batch, ref2).equals(out)
     assert eq._STAGE[1] is not stage and eq._STAGE[0] == ref2
 
 

@@ -69,6 +69,60 @@ def test_doc_quads_matches_api():
     assert quads == api.to_rdf(doc)
 
 
+def test_canonical_view_matches_canonize(small_table):
+    from jsonld_js_ray.core.canonize import canonize
+    batch = extract_batch(small_table)
+    stage = ExpandToQuads()
+    got = {(r["repo"], r["path"]): r["canonical_nquads"]
+           for r in stage.canonical(batch).to_pylist()}
+    want = {(r["repo"], r["path"]):
+            canonize(doc_quads(r["content"], stage.resolver)[0], 1000)
+            for r in batch.to_pylist() if r["is_jsonld"]}
+    assert len(want) > 100
+    assert got == want
+
+
+def test_events_view_errors_and_warnings():
+    import pyarrow as pa
+    table = pa.table({
+        "repo": ["o/r"] * 4,
+        "path": ["a.jsonld", "b.jsonld", "c.jsonld", "d.py"],
+        "commit": ["c"] * 4,
+        "lang": ["jsonld", "jsonld", "jsonld", "python"],
+        "content": ['{"@context": 5}', '{not json',
+                    '{"@id": "http://x/a", "@type": "rel", "bad": 1}',
+                    "print(1)"],
+    })
+    stage = ExpandToQuads()
+    rows = stage.events(extract_batch(table)).to_pylist()
+    got = [(r["path"], r["code"], r["level"]) for r in rows]
+    assert got == [
+        ("a.jsonld", "invalid local context", "error"),
+        ("b.jsonld", "JSONDecodeError", "error"),
+        ("c.jsonld", "relative @type reference", "warning"),
+        ("c.jsonld", "invalid property", "warning"),
+        ("c.jsonld", "relative object reference", "warning")]
+
+
+def test_status_view_counts_match_quad_and_event_views(small_table):
+    from collections import Counter
+    batch = extract_batch(small_table)
+    stage = ExpandToQuads()
+    quads = stage(batch)
+    n_quads = Counter(zip(quads.column("repo").to_pylist(),
+                          quads.column("path").to_pylist()))
+    events = stage.events(batch)
+    n_events = Counter(zip(events.column("repo").to_pylist(),
+                           events.column("path").to_pylist()))
+    status = stage.status(batch).to_pylist()
+    assert len(status) == batch.num_rows
+    assert sum(r["n_quads"] for r in status) == quads.num_rows > 0
+    assert sum(r["n_events"] for r in status) == events.num_rows > 0
+    for r in status:
+        assert r["n_quads"] == n_quads[(r["repo"], r["path"])]
+        assert r["n_events"] == n_events[(r["repo"], r["path"])]
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestRayPipeline:
     def _run(self, tmp_out, n_cpus_hint=2, dedup=True):
