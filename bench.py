@@ -13,7 +13,9 @@ prints ONE JSON line:
 compute-dominated rather than fixed-overhead-dominated) and reports both
 throughputs plus scaling efficiency (BASELINE.md criterion; two
 parallelism levels stand in for N vs 4N nodes — no real cluster in this
-sandbox). ``--kg-only`` is the single-run worker mode it shells out to.
+sandbox), or a ``skipped`` reason when ``nproc`` is below the high level.
+``--kg-only`` is the single-run worker mode it shells out to. Every JSON
+line carries kgbench's host fingerprint under ``host``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import shutil
 import subprocess
 import sys
 import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 # Ray CPUs when RAY_GRAFT_CPUS is unset: the host's, at most 32
 DEFAULT_CPUS = min(32, os.cpu_count() or 1)
@@ -210,12 +214,21 @@ def _ceiling_work(chunk):
     return n
 
 
+def _emit(record: dict, fingerprint, ray_cpus):
+    record["host"] = fingerprint.finish(ray_cpus)
+    print(json.dumps(record))
+
+
 def main():
+    sys.path.insert(0, os.path.join(HERE, "kgbench"))
+    import host  # kgbench/host.py; kgbench is not a package
+    fingerprint = host.Fingerprint(HERE)
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", DEFAULT_CPUS))
     if "--ceiling" in sys.argv:
-        print(json.dumps(_ceiling()))
+        _emit(_ceiling(), fingerprint, None)
         return
     if "--kg-only" in sys.argv:
-        print(json.dumps(_kg_only()))
+        _emit(_kg_only(), fingerprint, num_cpus)
         return
     if "--scaling" in sys.argv:
         # pair override: GRAFT_SCALING_LO/HI (e.g. 4 and 16 keeps both
@@ -224,9 +237,15 @@ def main():
         lo = int(os.environ.get("GRAFT_SCALING_LO", "8"))
         hi = int(os.environ.get("GRAFT_SCALING_HI", "32"))
         rows = int(os.environ.get("GRAFT_SCALING_ROWS", "4000000"))
+        nproc = host.nproc()
+        if nproc < hi:
+            reason = f"nproc {nproc} < GRAFT_SCALING_HI {hi}: oversubscribed"
+            _emit({"metric": "scaling_efficiency", "skipped": reason,
+                   "cpus_lo": lo, "cpus_hi": hi}, fingerprint, None)
+            return
         # pre-materialize the corpus (cached) so neither run pays generation
-        _init_ray(int(os.environ.get("RAY_GRAFT_CPUS", DEFAULT_CPUS)))
-        sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+        _init_ray(num_cpus)
+        sys.path.insert(0, HERE)
         from jsonld_js_ray.sources.repo_files import repo_files_path_n
         repo_files_path_n(rows)
         import ray
@@ -243,7 +262,7 @@ def main():
         t_lo = min(r["value"] for r in lo_runs)
         t_hi = min(r["value"] for r in hi_runs)
         eff = (t_lo / t_hi) / (hi / lo)
-        print(json.dumps({
+        _emit({
             "metric": "scaling_efficiency",
             "value": round(eff, 3),
             "unit": "ratio",
@@ -256,9 +275,9 @@ def main():
                                       for r in lo_runs),
             "triples_per_sec_hi": max(r.get("triples_per_sec", 0)
                                       for r in hi_runs),
-        }))
+        }, fingerprint, None)
         return
-    print(json.dumps(_bench_once()))
+    _emit(_bench_once(), fingerprint, num_cpus)
 
 
 if __name__ == "__main__":

@@ -4,11 +4,15 @@ read_parquet(repo files) → ONE fused map task per batch: extract/sha256
 → expand+toRDF (``expand_batch``: a per-worker stage cached on the
 broadcast context snapshot) → per-partition partial dedup → quad hash →
 route, one send per writer actor → writer actors dedup per partition and
-write partitioned (subj, pred, obj) Parquet → per-partition resume
-manifest. The map stages are plain functions, so Ray fuses them into one
-task-pool operator that runs in already-warm pooled workers; the only
-actors are the writers, and they live for the Ray session: a job checks
-out an idle set and returns it at the end (stages/partition_sink.py).
+write partitioned (subj, pred, obj) Parquet → per-partition manifest
+entries, then ``job.json``, which commits the job. A rerun over the same
+input returns the committed summary; any other run recomputes the whole
+job (state/checkpoint.py).
+
+The map stages are plain functions, so Ray fuses them into one task-pool
+operator that runs in already-warm pooled workers; the only actors are
+the writers, and they live for the Ray session: a job checks out an idle
+set and returns it at the end (stages/partition_sink.py).
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -16,11 +20,11 @@ Every stage streams: nothing materializes the full dataset on the driver.
 from __future__ import annotations
 
 import os
+import shutil
 import time
 from typing import Optional
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
@@ -42,16 +46,9 @@ def read_repo_files(input_path: str):
         input_path, columns=["repo", "path", "commit", "lang", "content"])
 
 
-def _without_partitions(skip: set):
-    skip = pa.array(sorted(skip), pa.int32())
-    return lambda b: b.filter(
-        pc.invert(pc.is_in(b.column("partition_id"), value_set=skip)))
-
-
 def map_docs(ds, task, snapshot=None,
              num_partitions: int = DEFAULT_PARTITIONS,
-             concurrency: Optional[int] = None, batch_size: int = 1024,
-             skip_partitions: Optional[set] = None):
+             concurrency: Optional[int] = None, batch_size: int = 1024):
     """repo-files Dataset → extract → ``task`` (lazy, streaming): one
     projection of the per-document kernel pass (``expand_batch``,
     ``status_batch``, ``canonical_batch`` or ``events_batch``), with the
@@ -68,77 +65,51 @@ def map_docs(ds, task, snapshot=None,
     ds = ds.map_batches(extract_batch,
                         fn_kwargs={"num_partitions": num_partitions},
                         batch_format="pyarrow", concurrency=concurrency)
-    if skip_partitions:
-        ds = ds.map_batches(_without_partitions(skip_partitions),
-                            batch_format="pyarrow", concurrency=concurrency)
     return ds.map_batches(task, fn_kwargs={"snapshot_ref": snapshot_ref},
                           batch_format="pyarrow", batch_size=batch_size,
                           concurrency=concurrency)
 
 
 def build_quads(ds, snapshot=None, num_partitions: int = DEFAULT_PARTITIONS,
-                concurrency: Optional[int] = None, batch_size: int = 1024,
-                skip_partitions: Optional[set] = None):
+                concurrency: Optional[int] = None, batch_size: int = 1024):
     """repo-files Dataset → quad Dataset (lazy, streaming)."""
     return map_docs(ds, expand_batch, snapshot, num_partitions, concurrency,
-                    batch_size, skip_partitions)
+                    batch_size)
 
 
 def run_kg_pipeline(input_path: str, out_dir: str,
                     num_partitions: int = DEFAULT_PARTITIONS,
                     concurrency: Optional[int] = None,
                     batch_size: int = 1024,
-                    dedup="partition",
                     resume: bool = True) -> dict:
-    """End-to-end run with resumable partitioned output. Returns metrics.
+    """End-to-end run into ``out_dir``; returns the job summary.
 
-    A true ``dedup`` drops duplicate quads within each output partition;
-    a false one writes every quad."""
-    completed = checkpoint.completed_partitions(out_dir) if resume else set()
+    The job is the unit of commit (state/checkpoint.py). With ``resume``,
+    an ``out_dir`` holding a committed job over the same input returns
+    that job's summary and starts no Ray work. Every other run deletes
+    the manifest and ``quads/`` and recomputes the whole job."""
+    fingerprint = checkpoint.input_fingerprint(input_path, num_partitions)
+    committed = resume and checkpoint.committed_job(out_dir, fingerprint)
+    if committed:
+        return committed
     data_dir = os.path.join(out_dir, "quads")
-
-    # crash hygiene: a killed run may leave partition files without
-    # manifest entries; those partitions will be recomputed, so their
-    # orphaned files must go first or the readback would double-count
-    if resume and os.path.isdir(data_dir):
-        import shutil as _shutil
-        for name in os.listdir(data_dir):
-            if not name.startswith("partition_id="):
-                continue
-            pid = int(name.split("=", 1)[1])
-            if pid not in completed:
-                _shutil.rmtree(os.path.join(data_dir, name),
-                               ignore_errors=True)
-
-    ds = read_repo_files(input_path)
-    if completed:
-        # cheap pre-scan (read + vectorized extract only — no expansion) to
-        # decide whether any partition remains; avoids starting the writer
-        # pool and an empty partitioned write on a fully-resumed job
-        probe = ds.map_batches(
-            extract_batch, fn_kwargs={"num_partitions": num_partitions},
-            batch_format="pyarrow").map_batches(
-            _without_partitions(completed), batch_format="pyarrow")
-        if probe.count() == 0:
-            summary = {"n_quads": 0, "n_partitions": 0,
-                       "resumed_skipped": sorted(completed)}
-            checkpoint.write_job_summary(out_dir, summary)
-            return summary
+    # the commit record goes first: a kill during clean-up must not leave
+    # a job.json over partial output
+    shutil.rmtree(checkpoint.manifest_dir(out_dir), ignore_errors=True)
+    shutil.rmtree(data_dir, ignore_errors=True)
 
     # streaming hash exchange into writer actors: no all-to-all barrier
     # (see stages/partition_sink.py)
     num_writers = max(2, min(16, cluster_cpus() // 4))
-    quads = build_quads(ds, num_partitions=num_partitions,
-                        concurrency=concurrency, batch_size=batch_size,
-                        skip_partitions=completed)
-    if dedup:
-        quads = quads.map_batches(partial_dedup_batch,
-                                  batch_format="pyarrow",
-                                  concurrency=concurrency)
-        quads = quads.map_batches(add_quad_hash, fn_kwargs={
-            "num_buckets": None}, batch_format="pyarrow",
-            concurrency=concurrency)
-    pool = WriterPool(data_dir, num_writers, dedup=bool(dedup))
+    quads = build_quads(read_repo_files(input_path),
+                        num_partitions=num_partitions,
+                        concurrency=concurrency, batch_size=batch_size)
+    quads = quads.map_batches(partial_dedup_batch, batch_format="pyarrow",
+                              concurrency=concurrency)
+    quads = quads.map_batches(add_quad_hash, fn_kwargs={
+        "num_buckets": None}, batch_format="pyarrow",
+        concurrency=concurrency)
+    pool = WriterPool(data_dir, num_writers)
     try:
         routed = quads.map_batches(make_router(pool.handles(), num_writers),
                                    batch_format="pyarrow",
@@ -155,14 +126,13 @@ def run_kg_pipeline(input_path: str, out_dir: str,
         pool.shutdown()
 
     for part, e in merged.items():
-        if part in completed:
-            continue
         checkpoint.write_partition_entry(
             out_dir, part, n_quads=e["n_quads"], n_docs=e["n_docs"],
-            input_fingerprint=os.path.basename(str(input_path)))
+            input_fingerprint=fingerprint)
     total = {"n_quads": sum(e["n_quads"] for e in merged.values()),
              "n_partitions": len(merged),
-             "resumed_skipped": sorted(completed),
+             "resumed_skipped": [],
+             "input_fingerprint": fingerprint,
              "phases": {"stream_sec": round(stream_sec, 2),
                         "finalize_sec": round(finalize_sec, 2)}}
     checkpoint.write_job_summary(out_dir, total)

@@ -35,7 +35,7 @@ def extract_batch(batch: pa.Table, num_partitions: int = 64) -> pa.Table:
     lang_ok = pa.array([lg in _JSONLD_LANGS for lg in langs])
     is_jsonld = pc.or_(lang_ok, structural)
 
-    # deterministic partition key aligned with the resume manifest
+    # deterministic partition key of the hive-partitioned output
     # (SURVEY.md §4.3.5: partition_id = hash(repo) % P)
     part = np.array([zlib.crc32(r.encode()) % num_partitions
                      for r in repos], dtype=np.int32)

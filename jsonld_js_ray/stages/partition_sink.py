@@ -22,8 +22,8 @@ Writers live for the Ray session, not for one job: ``WriterPool`` checks
 out an idle set and resets it, so a job does not wait for writer
 processes to start.
 
-Fault story: a writer lost during a job loses only its partitions; they
-are absent from the manifest, so a resumed run recomputes exactly those
+Fault story: a writer lost during a job makes ``finalize()`` raise, so
+the job never commits and its rerun recomputes everything
 (state/checkpoint.py). The failed job kills its other writers instead of
 returning them. A writer lost between jobs is found dead at the next
 checkout, and its whole set is replaced."""

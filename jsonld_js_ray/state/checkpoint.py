@@ -1,39 +1,64 @@
-"""Per-partition checkpoint manifest → resumable output.
+"""Job-level commit record → restart after failure.
 
 Ray task retries cover task-level failure; this manifest covers job-level
-restart (SURVEY.md §4.3.5): output is partitioned Parquet keyed by
-``partition_id = hash(repo) % P``, and each completed partition gets a
-JSON manifest entry with its input fingerprint and row/triple counts. A
-rerun loads the manifest and filters already-completed partitions out of
-the input at the read, so only unfinished work is recomputed."""
+restart (SURVEY.md §4.3.5). The job is the unit of commit: its output is
+complete only when every writer's ``finalize()`` has returned, and a lost
+writer makes ``finalize()`` raise. Then each partition gets a JSON entry
+with its counts, and ``job.json``, written last and atomically with the
+input fingerprint, commits the job. A rerun over an unchanged input finds
+it and has nothing to do; any other run deletes the manifest and the
+output and recomputes the whole job."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
-from typing import Iterable
+from typing import Optional
 
 
 def manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
 
 
-def completed_partitions(out_dir: str) -> set[int]:
-    mdir = manifest_dir(out_dir)
-    if not os.path.isdir(mdir):
-        return set()
-    done = set()
-    for name in os.listdir(mdir):
-        if name.startswith("partition-") and name.endswith(".json"):
-            try:
-                with open(os.path.join(mdir, name)) as fh:
-                    entry = json.load(fh)
-                if entry.get("status") == "complete":
-                    done.add(int(entry["partition_id"]))
-            except (ValueError, KeyError, OSError):
-                continue
-    return done
+def input_fingerprint(input_path: str, num_partitions: int) -> str:
+    """sha256 over the sorted (relative path, byte size, mtime_ns) of the
+    files ``ray.data.read_parquet(input_path)`` reads, plus
+    ``num_partitions``. Like Ray, a directory is walked recursively and
+    relative paths starting with "." or "_" are skipped."""
+    root = os.path.abspath(input_path)
+    if os.path.isfile(root):
+        files = [(os.path.basename(root), root)]
+    else:
+        files = []
+        for parent, _, names in os.walk(root):
+            for name in names:
+                path = os.path.join(parent, name)
+                rel = os.path.relpath(path, root)
+                if not rel.startswith((".", "_")):
+                    files.append((rel, path))
+    h = hashlib.sha256(f"num_partitions={num_partitions}".encode())
+    for rel, path in sorted(files):
+        st = os.stat(path)
+        h.update(f"\0{rel}\0{st.st_size}\0{st.st_mtime_ns}".encode())
+    return h.hexdigest()
+
+
+def committed_job(out_dir: str, fingerprint: str) -> Optional[dict]:
+    """The committed job summary of ``out_dir`` if its input fingerprint
+    is ``fingerprint``, with ``resumed_skipped`` set to all of its
+    partitions; None otherwise."""
+    try:
+        with open(os.path.join(manifest_dir(out_dir), "job.json")) as fh:
+            job = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if job.get("input_fingerprint") != fingerprint:
+        return None
+    job["resumed_skipped"] = sorted(
+        e["partition_id"] for e in read_entries(out_dir))
+    return job
 
 
 def write_partition_entry(out_dir: str, partition_id: int,
@@ -43,7 +68,6 @@ def write_partition_entry(out_dir: str, partition_id: int,
     os.makedirs(mdir, exist_ok=True)
     entry = {
         "partition_id": int(partition_id),
-        "status": "complete",
         "n_quads": int(n_quads),
         "n_docs": int(n_docs),
         "input_fingerprint": input_fingerprint,

@@ -7,11 +7,12 @@ tests/fixtures/w3c/<suite>/ with the REFERENCE output as the expected
 fixture (the reference is the behavior target; outputs are
 differentially validated, never hand-guessed).
 
-Usage:
-    python scripts/refdiff/diffgen.py check  cases_round3
-    python scripts/refdiff/diffgen.py emit   cases_round3
+Usage (MODULE defines CASES; the round-3..5 case modules are in git
+history at commit 793b439 as scripts/refdiff/cases_round*.py):
+    python scripts/refdiff/diffgen.py check  MODULE
+    python scripts/refdiff/diffgen.py emit   MODULE
 
-Case dict shape (see cases_round3.py):
+Case dict shape:
     {"suite": "expand", "id": "t0100", "name": "...",
      "op": "expand",                   # expand|compact|flatten|frame|toRDF|fromRDF
      "input": {...} | "nquads string",

@@ -212,19 +212,22 @@ def test_shared_document_reaches_both_fork_partitions(ray_session, tmp_path,
         assert _quad_set(mine) == expected, repo
 
 
+def _pairs(table: pa.Table) -> Counter:
+    """The (partition_id, quad) multiset of ``table``'s rows."""
+    return Counter(zip(table.column("partition_id").to_pylist(),
+                       *[table.column(c).to_pylist() for c in QUAD_COLS]))
+
+
 def _oracle_pairs(table: pa.Table) -> Counter:
     """The (partition_id, quad) pairs a job over ``table`` must write:
     single-process ExpandToQuads, each pair once per partition."""
     quads = eq.ExpandToQuads()(extract_batch(table, num_partitions=64))
-    return Counter(set(zip(quads.column("partition_id").to_pylist(),
-                           *[quads.column(c).to_pylist()
-                             for c in QUAD_COLS])))
+    return Counter(set(_pairs(quads)))
 
 
 def _written_pairs(out: str) -> Counter:
-    t = pads.dataset(out + "/quads", partitioning="hive").to_table()
-    return Counter(zip(t.column("partition_id").to_pylist(),
-                       *[t.column(c).to_pylist() for c in QUAD_COLS]))
+    return _pairs(pads.dataset(out + "/quads", partitioning="hive")
+                  .to_table())
 
 
 def _live_writers(settled=lambda ids: True, timeout: float = 10.0) -> set:
@@ -251,6 +254,35 @@ def _corpus(tmp_path, table: pa.Table, n_files: int = 1) -> str:
         pq.write_table(table.slice(i * step, step),
                        str(corpus / f"part-{i}.parquet"))
     return str(corpus)
+
+
+def test_writer_seen_set_drops_duplicates_across_flushes(ray_session,
+                                                         tmp_path):
+    # _hashed_quads holds every quad twice, half the table apart: in
+    # 40-row sends to one writer that flushes every 50 rows, the copies
+    # of a quad land in different flush windows, so only the writer's
+    # cross-flush seen-set can drop the second copy
+    import ray
+    from jsonld_js_ray.stages.partition_sink import WriterPool
+    batch = _hashed_quads(50)
+    expected = Counter(set(_pairs(batch)))
+    results = {}
+    for flush_rows in (50, 1_000_000):
+        out = str(tmp_path / f"flush{flush_rows}")
+        pool = WriterPool(out + "/quads", 1, dedup=True,
+                          flush_rows=flush_rows)
+        writer = pool.handles()[0]
+        for i in range(0, batch.num_rows, 40):
+            ray.get(writer.add.remote(batch.slice(i, 40)))
+        counts = {pid: e["n_quads"] for pid, e in pool.finalize().items()}
+        # a one-writer set is of no use to the other tests' jobs
+        ray.kill(writer)
+        results[flush_rows] = (counts, _written_pairs(out))
+    _live_writers(lambda ids: len(ids) <= NUM_WRITERS)
+    assert results[50] == results[1_000_000]
+    counts, pairs = results[50]
+    assert pairs == expected
+    assert counts == Counter(pid for pid, *_ in expected.elements())
 
 
 def test_second_job_reuses_and_resets_the_writers(ray_session, tmp_path):

@@ -125,14 +125,13 @@ def test_status_view_counts_match_quad_and_event_views(small_table):
 
 @pytest.mark.usefixtures("ray_session")
 class TestRayPipeline:
-    def _run(self, tmp_out, n_cpus_hint=2, dedup=True):
+    def _run(self, tmp_out, n_cpus_hint=2):
         import ray
         from jsonld_js_ray.pipelines.kg import run_kg_pipeline
         from jsonld_js_ray.sources.repo_files import repo_files_path
         path = repo_files_path(0.0003)  # 300 rows
         shutil.rmtree(tmp_out, ignore_errors=True)
-        return run_kg_pipeline(path, tmp_out, concurrency=n_cpus_hint,
-                               dedup=dedup)
+        return run_kg_pipeline(path, tmp_out, concurrency=n_cpus_hint)
 
     def test_end_to_end_and_resume(self, tmp_path):
         out = str(tmp_path / "kg")

@@ -1,6 +1,7 @@
 """Resume-after-kill completeness (FIXTURES.md §4): a run killed
 mid-flight must, after resume, produce exactly the same output as a
-clean run — completed partitions skipped, orphaned partials cleaned."""
+clean run. The killed job never committed, so the resumed run deletes
+its partial output and recomputes the whole job."""
 
 import json
 import os
