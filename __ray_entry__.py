@@ -71,7 +71,7 @@ def _kg_doc_view(task: str):
             map_docs, read_repo_files, repo_files_for_sf_dir)
         from jsonld_js_ray.stages import expand_quads
         return map_docs(read_repo_files(repo_files_for_sf_dir(sf_dir)),
-                        getattr(expand_quads, task), batch_size=512)
+                        getattr(expand_quads, task))
     return run
 
 

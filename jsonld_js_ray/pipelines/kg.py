@@ -192,11 +192,9 @@ def entity_summary(quads_ds):
 
 
 def doc_status(ds, snapshot=None, concurrency: Optional[int] = None,
-               batch_size: int = 128,
                num_partitions: int = DEFAULT_PARTITIONS):
     """Per-document status/metrics Dataset (quarantine accounting)."""
-    return map_docs(ds, status_batch, snapshot, num_partitions, concurrency,
-                    batch_size)
+    return map_docs(ds, status_batch, snapshot, num_partitions, concurrency)
 
 
 def repo_files_for_sf_dir(sf_dir: str) -> str:

@@ -8,8 +8,14 @@ The pattern (SURVEY.md §2.7/§7.3):
      block, NOT one group per distinct quad (row-granular map_groups
      would be a per-row Python call — the anti-pattern);
   3. ``groupby(bucket)`` shuffle + vectorized ``drop_duplicates`` per
-     bucket with a deterministic winner (min content_sha256, then path),
-     so output is identical at any parallelism level.
+     bucket with a deterministic winner: the row that is least on
+     ``WINNER_ORDER``.
+
+``WINNER_ORDER`` is a total order on the rows of one quad: copies of one
+file at different commits or forks tie on ``(content_sha256, path)``, and
+``repo`` and ``commit`` break the tie, so the winner's lineage depends on
+neither batch size nor arrival order (within one writer flush window; see
+stages/partition_sink.py).
 """
 
 from __future__ import annotations
@@ -22,9 +28,12 @@ QUAD_COLS = ["subject", "predicate", "object_kind", "object_value",
 
 DEFAULT_BUCKETS = 64
 
+# among duplicate quads, the least row on these columns wins
+WINNER_ORDER = ["content_sha256", "path", "repo", "commit"]
+
 
 def _dedup_df(df: pd.DataFrame, subset=QUAD_COLS) -> pd.DataFrame:
-    df = df.sort_values(["content_sha256", "path"], kind="stable")
+    df = df.sort_values(WINNER_ORDER, kind="stable")
     return df.drop_duplicates(subset=subset, keep="first")
 
 

@@ -1,8 +1,10 @@
 """Stage 2: expand + toRDF + RDFC-1.0 bnode labels per document.
 
 The core transform of the KG pipeline (SURVEY.md §3.4/§7.2): the callable
-class ``ExpandToQuads`` runs the per-document kernel once per row
-(``docs``) and projects that one pass into four tables — quads
+class ``ExpandToQuads`` runs the per-document kernel once per distinct
+content per batch (``docs``: a document's quads depend only on its content
+and the context snapshot, so copies across forks and commits share one
+pass) and projects that pass into four tables — quads
 (``__call__``), per-document status, canonical N-Quads and events. Each
 projection has a task-side entry point (``expand_batch``,
 ``status_batch``, ``canonical_batch``, ``events_batch``) that Ray maps as
@@ -134,9 +136,9 @@ def _table(schema: pa.Schema, rows: list) -> pa.Table:
 
 
 class ExpandToQuads:
-    """Arrow batch of extracted repo files → one kernel pass per row,
-    projected as quads, status, canonical N-Quads or events (callable
-    class; tasks reach it through the ``*_batch`` functions)."""
+    """Arrow batch of extracted repo files → one kernel pass per distinct
+    document, projected as quads, status, canonical N-Quads or events
+    (callable class; tasks reach it through the ``*_batch`` functions)."""
 
     def __init__(self, snapshot_ref=None):
         self.resolver = ContextResolver(load_snapshot(snapshot_ref))
@@ -145,21 +147,31 @@ class ExpandToQuads:
         """Yield ``(lineage, status, error_code, quads, events)`` per row:
         status is ok, skipped (not JSON-LD) or error (quarantined: no
         quads, no events); quads carry ``doc_quads``'s canonical labels,
-        not yet sha-prefixed."""
+        not yet sha-prefixed. The kernel runs once per distinct
+        ``content_sha256`` in the batch; every copy yields that result
+        with its own lineage."""
         lineage = zip(*(batch.column(n).to_pylist() for n in _LINEAGE))
         contents = batch.column("content").to_pylist()
         is_jsonld = batch.column("is_jsonld").to_pylist()
+        # content_sha256 -> (status, code, quads, events): copies of a
+        # document in this batch share the first copy's kernel result
+        # (read-only: no projection mutates the shared lists)
+        done: dict[str, tuple] = {}
         for row, content, jsonld in zip(lineage, contents, is_jsonld):
-            status, code, quads, events = "skipped", None, [], []
-            if jsonld:
+            if not jsonld:
+                yield (row, "skipped", None, [], [])
+                continue
+            result = done.get(row[3])
+            if result is None:
                 try:
                     quads, events = doc_quads(content, self.resolver,
                                               canonical_bnodes=True)
-                    status = "ok"
+                    result = ("ok", None, quads, events)
                 except _DOC_ERRORS as e:
-                    status, code = "error", getattr(e, "code",
-                                                    type(e).__name__)
-            yield row, status, code, quads, events
+                    result = ("error", getattr(e, "code",
+                                               type(e).__name__), [], [])
+                done[row[3]] = result
+            yield (row, *result)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cols = {name: [] for name in QUAD_SCHEMA.names}

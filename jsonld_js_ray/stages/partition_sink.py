@@ -12,11 +12,13 @@ the writer splits what it receives by ``partition_id`` itself. Each task
 ``ray.get``s its send acks, which is the backpressure.
 
 Each actor holds the mutable per-partition dedup state — within one
-flush window winners are selected on the FULL quad columns (exact);
-across flush windows a seen-set keyed on a 128-bit hash pair gives
-near-exact first-write-wins dedup (collision odds negligible below
-~10^15 quads; 64 bits alone would collide at ~5e9). Flushes write
-per-partition Parquet files plus manifest counts at finalize.
+flush window winners are selected on the FULL quad columns (exact), the
+least row on ``dedup.WINNER_ORDER``; across flush windows a seen-set
+keyed on a 128-bit hash pair gives near-exact first-write-wins dedup
+(collision odds negligible below ~10^15 quads; 64 bits alone would
+collide at ~5e9), so when a job spans several flush windows, which copy's
+lineage a duplicate quad keeps still depends on arrival order. Flushes
+write per-partition Parquet files plus manifest counts at finalize.
 
 Writers live for the Ray session, not for one job: ``WriterPool`` checks
 out an idle set and resets it, so a job does not wait for writer
@@ -38,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .dedup import QUAD_COLS
+from .dedup import QUAD_COLS, WINNER_ORDER
 
 
 def _split(table: pa.Table, keys: np.ndarray):
@@ -126,7 +128,7 @@ def _writer_class():
                         h, return_index=True, return_counts=True)
                     if (counts > 1).any():
                         # deterministic winner ONLY for the (rare)
-                        # duplicated hashes: min (content_sha256, path);
+                        # duplicated hashes: least on WINNER_ORDER;
                         # unique hashes keep their single row untouched —
                         # avoids sorting the whole partition. Winner
                         # selection keys on the FULL quad columns, so a
@@ -136,8 +138,8 @@ def _writer_class():
                         dup_mask = np.isin(h, dup_hashes)
                         sub = tbl.filter(pa.array(dup_mask)).to_pandas()
                         sub["_orig"] = np.flatnonzero(dup_mask)
-                        sub = sub.sort_values(
-                            ["content_sha256", "path"], kind="stable")
+                        sub = sub.sort_values(WINNER_ORDER,
+                                              kind="stable")
                         winners = (sub.drop_duplicates(
                             subset=QUAD_COLS, keep="first")["_orig"]
                             .to_numpy())

@@ -285,6 +285,69 @@ def test_writer_seen_set_drops_duplicates_across_flushes(ray_session,
     assert counts == Counter(pid for pid, *_ in expected.elements())
 
 
+def _lineage_forks_table() -> pa.Table:
+    """JSON-LD files copied into 8 forks at 3 commits each, the copies
+    of a file identical in content and path, rows in descending
+    (repo, commit) order so the least copy never arrives first, with
+    filler files between them."""
+    files = generate_repo_files(120)
+    docs = files.filter(pc.equal(files["lang"], "jsonld")).slice(0, 6)
+    rows = []
+    for path, content in zip(docs.column("path").to_pylist(),
+                             docs.column("content").to_pylist()):
+        for fork in range(8):
+            for commit in range(3):
+                rows.append((f"forks/r{fork}", path, f"c{commit}",
+                             content))
+    rows.sort(key=lambda r: (r[0], r[2]), reverse=True)
+    copies = pa.table({"repo": [r[0] for r in rows],
+                       "path": [r[1] for r in rows],
+                       "commit": [r[2] for r in rows],
+                       "lang": ["jsonld"] * len(rows),
+                       "content": [r[3] for r in rows]},
+                      schema=files.schema)
+    half = copies.num_rows // 2
+    return pa.concat_tables([copies.slice(0, half), files.slice(0, 60),
+                             copies.slice(half), files.slice(60)])
+
+
+def _lineage_rows(table: pa.Table) -> set:
+    cols = ["partition_id", *QUAD_COLS, "repo", "path", "commit"]
+    return set(zip(*[table.column(c).to_pylist() for c in cols]))
+
+
+def test_written_lineage_is_the_least_copy_at_any_batch_size(ray_session,
+                                                             tmp_path):
+    # copies of one file at different forks and commits tie on
+    # (content_sha256, path); the winner order must still pick one copy
+    # whatever the batch boundaries and arrival order
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    table = _lineage_forks_table()
+    # three files: their read tasks run in parallel, so copies reach the
+    # writers in no fixed order
+    corpus = _corpus(tmp_path, table, n_files=3)
+    written = {}
+    for batch_size in (64, 1024):
+        out = str(tmp_path / f"bs{batch_size}")
+        run_kg_pipeline(corpus, out, batch_size=batch_size, resume=False)
+        written[batch_size] = _lineage_rows(
+            pads.dataset(out + "/quads", partitioning="hive").to_table())
+    assert written[64] == written[1024]
+    # expected: per (partition_id, quad), the least
+    # (content_sha256, path, repo, commit) among the rows producing it
+    quads = eq.ExpandToQuads()(extract_batch(table, num_partitions=64))
+    least = {}
+    for pid, *rest in zip(*[quads.column(c).to_pylist() for c in
+                            ["partition_id", *QUAD_COLS, "content_sha256",
+                             "path", "repo", "commit"]]):
+        n = len(QUAD_COLS)
+        quad, key = tuple(rest[:n]), tuple(rest[n:])
+        least[(pid, quad)] = min(key, least.get((pid, quad), key))
+    expected = {(pid, *quad, repo, path, commit)
+                for (pid, quad), (_, path, repo, commit) in least.items()}
+    assert written[1024] == expected
+
+
 def test_second_job_reuses_and_resets_the_writers(ray_session, tmp_path):
     from jsonld_js_ray.pipelines.kg import run_kg_pipeline
     table = generate_repo_files(300)

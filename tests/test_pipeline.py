@@ -123,6 +123,116 @@ def test_status_view_counts_match_quad_and_event_views(small_table):
         assert r["n_events"] == n_events[(r["repo"], r["path"])]
 
 
+def _copies_batch(n_copies=3):
+    """An extracted batch holding ``n_copies`` copies each of an ok
+    document, an invalid-context document, a non-JSON row flagged
+    JSON-LD, the poison RDFC document and a skipped file. Copies
+    alternate between two repos in different partitions and differ in
+    commit; copy ``i`` of every kind has path ``copy<i>``, so distinct
+    documents share paths."""
+    import zlib
+
+    import pyarrow as pa
+    from tests.test_errors_and_poison import _good_and_poison_batch
+    good, poison = _good_and_poison_batch().column("content").to_pylist()
+    kinds = [("jsonld", good), ("jsonld", '{"@context": 5}'),
+             ("jsonld", "{not json"), ("jsonld", poison),
+             ("py", "print(1)")]
+    repos = ["o/a"] + [r for r in (f"o/b{i}" for i in range(100))
+                       if zlib.crc32(r.encode()) % 64
+                       != zlib.crc32(b"o/a") % 64][:1]
+    rows = [(repos[i % 2], f"copy{i}", f"c{i}", lang, content)
+            for i in range(n_copies) for lang, content in kinds]
+    names = ["repo", "path", "commit", "lang", "content"]
+    batch = extract_batch(pa.table(
+        {n: [r[k] for r in rows] for k, n in enumerate(names)}))
+    assert len(set(batch.column("partition_id").to_pylist())) == 2
+    return batch
+
+
+def _per_row_reference(batch):
+    """Quad, status, canonical and event rows of ``batch`` from a plain
+    loop that calls ``doc_quads`` once per row."""
+    from jsonld_js_ray.core.nquads import serialize
+    from jsonld_js_ray.core.to_rdf import OBJ_BNODE
+    from jsonld_js_ray.stages.expand_quads import RDFC_FALLBACK
+    resolver = ContextResolver(build_context_snapshot())
+    quads_rows, status_rows, canonical_rows, event_rows = [], [], [], []
+    for r in batch.to_pylist():
+        lineage = {k: r[k] for k in ("repo", "path", "commit",
+                                     "content_sha256")}
+        status, code, quads, events = "skipped", None, [], []
+        if r["is_jsonld"]:
+            try:
+                quads, events = doc_quads(r["content"], resolver,
+                                          canonical_bnodes=True)
+                status = "ok"
+            except Exception as e:
+                status, code = "error", getattr(e, "code",
+                                                type(e).__name__)
+                events = [{"code": code, "level": "error"}]
+        status_rows.append({**lineage, "partition_id": r["partition_id"],
+                            "status": status, "error_code": code,
+                            "n_quads": len(quads),
+                            "n_events": 0 if status == "error"
+                            else len(events)})
+        if status == "ok" and not any(ev["code"] == RDFC_FALLBACK
+                                      for ev in events):
+            canonical_rows.append({
+                **lineage, "canonical_nquads": serialize(quads, sort=True),
+                "n_quads": len(quads)})
+        event_rows.extend(
+            {"repo": r["repo"], "path": r["path"],
+             "content_sha256": r["content_sha256"], "code": ev["code"],
+             "level": ev.get("level", "warning")} for ev in events)
+        pre = "_:" + r["content_sha256"][:16] + "-"
+
+        def ren(label):
+            return pre + label[2:] if label and label.startswith("_:") \
+                else label
+
+        for s, p, k, v, dt, lg, g in quads:
+            quads_rows.append({
+                "subject": ren(s), "predicate": p, "object_kind": k,
+                "object_value": ren(v) if k == OBJ_BNODE else v,
+                "datatype": dt,
+                "language": lg, "graph": ren(g), **lineage,
+                "partition_id": r["partition_id"]})
+    return {"__call__": quads_rows, "status": status_rows,
+            "canonical": canonical_rows, "events": event_rows}
+
+
+def test_copies_share_one_kernel_pass_and_match_per_row(monkeypatch):
+    from collections import Counter
+    from jsonld_js_ray.stages import expand_quads
+    batch = _copies_batch()
+    expected = _per_row_reference(batch)
+    # every view of every kind is present, so the check is not vacuous
+    assert {r["status"] for r in expected["status"]} \
+        == {"ok", "error", "skipped"}
+    assert {r["code"] for r in expected["events"]} >= {
+        expand_quads.RDFC_FALLBACK, "invalid local context",
+        "JSONDecodeError"}
+    assert expected["canonical"] and expected["__call__"]
+
+    calls = Counter()
+    kernel = expand_quads.doc_quads
+
+    def counting(content, *args, **kwargs):
+        calls[content] += 1
+        return kernel(content, *args, **kwargs)
+
+    monkeypatch.setattr(expand_quads, "doc_quads", counting)
+    stage = ExpandToQuads()
+    jsonld = [c for c, j in zip(batch.column("content").to_pylist(),
+                                batch.column("is_jsonld").to_pylist()) if j]
+    for view, rows in expected.items():
+        calls.clear()
+        got = getattr(stage, view)(batch).to_pylist()
+        assert got == rows, view
+        assert calls == Counter(set(jsonld)), view
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestRayPipeline:
     def _run(self, tmp_out, n_cpus_hint=2):
