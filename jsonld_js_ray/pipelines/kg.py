@@ -30,12 +30,10 @@ from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
 from ..stages.dedup import add_quad_hash, partial_dedup_batch
 from ..stages.expand_quads import expand_batch, status_batch
-from ..stages.extract import extract_batch
+from ..stages.extract import DEFAULT_PARTITIONS, extract_batch
 from ..stages.partition_sink import WriterPool, make_router
 from ..state import checkpoint
 from ..util_ray import cluster_cpus
-
-DEFAULT_PARTITIONS = 64
 
 
 def read_repo_files(input_path: str):

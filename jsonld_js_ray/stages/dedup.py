@@ -7,9 +7,13 @@ The pattern (SURVEY.md §2.7/§7.3):
      shuffle key — B is small (≈ partitions), so each group is a healthy
      block, NOT one group per distinct quad (row-granular map_groups
      would be a per-row Python call — the anti-pattern);
-  3. ``groupby(bucket)`` shuffle + vectorized ``drop_duplicates`` per
-     bucket with a deterministic winner: the row that is least on
-     ``WINNER_ORDER``.
+  3. ``groupby(bucket)`` shuffle + one exact Arrow ``TableGroupBy`` pass
+     per bucket (``keep_least``) with a deterministic winner: the row
+     that is least on ``WINNER_ORDER``.
+
+``keep_least`` is the one implementation of the winner rule: the
+map-side combiner, the bucket pass and the partition sink's flush window
+(stages/partition_sink.py) all call it.
 
 ``WINNER_ORDER`` is a total order on the rows of one quad: copies of one
 file at different commits or forks tie on ``(content_sha256, path)``, and
@@ -20,8 +24,10 @@ stages/partition_sink.py).
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 QUAD_COLS = ["subject", "predicate", "object_kind", "object_value",
              "datatype", "language", "graph"]
@@ -32,9 +38,19 @@ DEFAULT_BUCKETS = 64
 WINNER_ORDER = ["content_sha256", "path", "repo", "commit"]
 
 
-def _dedup_df(df: pd.DataFrame, subset=QUAD_COLS) -> pd.DataFrame:
-    df = df.sort_values(WINNER_ORDER, kind="stable")
-    return df.drop_duplicates(subset=subset, keep="first")
+def keep_least(table: pa.Table, keys: list[str]) -> pa.Table:
+    """Per distinct value of ``keys``, the row least on ``WINNER_ORDER``
+    (input order breaks ties), with the winners in input order. Exact:
+    Arrow groups on the key values, not on a hash, and null keys compare
+    equal."""
+    order = pc.sort_indices(
+        table, [(c, "ascending") for c in WINNER_ORDER]).to_numpy()
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    least = (table.select(keys).append_column("_rank", pa.array(rank))
+             .group_by(keys, use_threads=False)
+             .aggregate([("_rank", "min")]))
+    return table.take(np.sort(order[least["_rank_min"].to_numpy()]))
 
 
 def partial_dedup_batch(batch: pa.Table) -> pa.Table:
@@ -42,9 +58,7 @@ def partial_dedup_batch(batch: pa.Table) -> pa.Table:
     partition — the scope the partition sink dedups on. A quad that
     several partitions share stays once in each of them, whatever the
     batch size."""
-    df = _dedup_df(batch.to_pandas(), QUAD_COLS + ["partition_id"])
-    return pa.Table.from_pandas(df, preserve_index=False,
-                                schema=batch.schema)
+    return keep_least(batch, QUAD_COLS + ["partition_id"])
 
 
 def add_quad_hash(batch: pa.Table,
@@ -58,7 +72,6 @@ def add_quad_hash(batch: pa.Table,
     set) can key on the 128-bit pair: 64-bit birthday collisions are
     ~50% at ~5e9 quads — real at design scale — while 128 bits are
     negligible past 10^15."""
-    import numpy as np
     df = batch.select(QUAD_COLS).to_pandas()
     acc = np.zeros(len(df), dtype=np.uint64)
     acc2 = np.full(len(df), 0x6A09E667F3BCC908, dtype=np.uint64)
@@ -83,16 +96,11 @@ def add_quad_hash(batch: pa.Table,
                                  pa.int32()))
 
 
-def _dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
-    return _dedup_df(group)
-
-
 def dedup_quads(ds, num_buckets: int = DEFAULT_BUCKETS):
     """Dataset-level exact dedup (global, streaming shuffle)."""
     ds = ds.map_batches(partial_dedup_batch, batch_format="pyarrow")
     ds = ds.map_batches(lambda b: add_quad_hash(b, num_buckets),
                         batch_format="pyarrow")
-    ds = ds.groupby("dedup_bucket").map_groups(_dedup_bucket,
-                                               batch_format="pandas")
+    ds = ds.groupby("dedup_bucket").map_groups(
+        lambda group: keep_least(group, QUAD_COLS), batch_format="pyarrow")
     return ds.drop_columns(["quad_hash", "quad_hash2", "dedup_bucket"])
-

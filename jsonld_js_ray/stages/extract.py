@@ -16,8 +16,12 @@ import pyarrow.compute as pc
 
 _JSONLD_LANGS = {"jsonld", "json"}
 
+# P of the hive-partitioned output's ``partition_id = hash(repo) % P``
+DEFAULT_PARTITIONS = 64
 
-def extract_batch(batch: pa.Table, num_partitions: int = 64) -> pa.Table:
+
+def extract_batch(batch: pa.Table,
+                  num_partitions: int = DEFAULT_PARTITIONS) -> pa.Table:
     """Append content_sha256, is_jsonld, partition_id columns."""
     contents = batch.column("content")
     langs = batch.column("lang").to_pylist()

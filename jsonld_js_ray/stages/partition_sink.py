@@ -11,24 +11,27 @@ exchange costs at most W sends per batch, not one per partition present;
 the writer splits what it receives by ``partition_id`` itself. Each task
 ``ray.get``s its send acks, which is the backpressure.
 
-Each actor holds the mutable per-partition dedup state — within one
-flush window winners are selected on the FULL quad columns (exact), the
-least row on ``dedup.WINNER_ORDER``; across flush windows a seen-set
-keyed on a 128-bit hash pair gives near-exact first-write-wins dedup
-(collision odds negligible below ~10^15 quads; 64 bits alone would
-collide at ~5e9), so when a job spans several flush windows, which copy's
-lineage a duplicate quad keeps still depends on arrival order. Flushes
-write per-partition Parquet files plus manifest counts at finalize.
+Each actor buffers whole sends. A flush concatenates its window, keeps
+one winner per (partition, quad) with ``dedup.keep_least`` (exact, on
+the FULL quad columns: the least row on ``dedup.WINNER_ORDER``), and
+splits the window by ``partition_id`` once. Across flush windows a
+per-partition seen-set keyed on a 128-bit hash pair gives near-exact
+first-write-wins dedup (collision odds negligible below ~10^15 quads; 64
+bits alone would collide at ~5e9), so when a job spans several flush
+windows, which copy's lineage a duplicate quad keeps still depends on
+arrival order. Flushes write per-partition Parquet files plus manifest
+counts at finalize.
 
 Writers live for the Ray session, not for one job: ``WriterPool`` checks
 out an idle set and resets it, so a job does not wait for writer
 processes to start.
 
-Fault story: a writer lost during a job makes ``finalize()`` raise, so
-the job never commits and its rerun recomputes everything
-(state/checkpoint.py). The failed job kills its other writers instead of
-returning them. A writer lost between jobs is found dead at the next
-checkout, and its whole set is replaced."""
+Fault story: a writer lost during a job, or a failed flush (a
+background one too), makes ``finalize()`` raise, so the job never
+commits and its rerun recomputes everything (state/checkpoint.py). The
+failed job kills its other writers instead of returning them. A writer
+lost between jobs is found dead at the next checkout, and its whole set
+is replaced."""
 
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .dedup import QUAD_COLS, WINNER_ORDER
+from .dedup import QUAD_COLS, keep_least
 
 
 def _split(table: pa.Table, keys: np.ndarray):
@@ -64,6 +67,7 @@ def _writer_class():
                      dedup: bool = True, flush_rows: int = 1_000_000):
             self.writer_id = writer_id
             self._flusher = None
+            self._flush_error = None
             self.begin(out_dir, dedup, flush_rows)
 
         def begin(self, out_dir: str, dedup: bool, flush_rows: int):
@@ -75,7 +79,7 @@ def _writer_class():
             self._reset()
 
         def _reset(self):
-            self.buffers: dict[int, list[pa.Table]] = {}
+            self.buffers: list[pa.Table] = []
             self.buffered_rows = 0
             self.flushed: dict[int, int] = {}   # pid -> rows written
             # pid -> sorted |S64 array of distinct content shas
@@ -85,104 +89,53 @@ def _writer_class():
             self.file_idx = 0
 
         def add(self, table: pa.Table) -> int:
-            pids = table.column("partition_id").to_numpy(
-                zero_copy_only=False)
-            for pid, sub in _split(table, pids):
-                self.buffers.setdefault(pid, []).append(sub)
+            # whole sends are buffered; the flush splits its window by
+            # partition once
+            self.buffers.append(table)
             self.buffered_rows += table.num_rows
             if self.buffered_rows >= self.flush_rows:
                 # hand the full buffers to a background flusher so adds
-                # (and their acks) keep streaming; pandas/arrow/parquet
-                # release the GIL for most of the flush work.
+                # (and their acks) keep streaming; arrow/parquet release
+                # the GIL for most of the flush work.
                 # (A largest-partition partial-flush variant measured
                 # SLOWER in an interleaved A/B at 10M rows — more flush
                 # cycles mean more flusher joins blocking the ack path.)
                 self._join_flusher()
-                snapshot, self.buffers = self.buffers, {}
+                snapshot, self.buffers = self.buffers, []
                 self.buffered_rows = 0
                 self._flusher = threading.Thread(
-                    target=self._flush_buffers, args=(snapshot,),
+                    target=self._flush_in_background, args=(snapshot,),
                     daemon=True)
                 self._flusher.start()
             return table.num_rows
 
+        def _flush_in_background(self, buffers):
+            try:
+                self._flush_buffers(buffers)
+            except Exception as exc:   # re-raised by _join_flusher
+                self._flush_error = exc
+
         def _join_flusher(self):
+            """Wait for the background flush; re-raise its error, so the
+            job's next ``add`` or ``finalize`` fails."""
             if self._flusher is not None:
                 self._flusher.join()
                 self._flusher = None
-
-        def _flush(self):
-            snapshot, self.buffers = self.buffers, {}
-            self.buffered_rows = 0
-            self._flush_buffers(snapshot)
+            error, self._flush_error = self._flush_error, None
+            if error is not None:
+                raise error
 
         def _flush_buffers(self, buffers):
-            for pid, tables in list(buffers.items()):
-                if not tables:
-                    continue
-                tbl = pa.concat_tables(tables)
-                if self.dedup and "quad_hash" in tbl.column_names:
-                    h = tbl.column("quad_hash").to_numpy(
-                        zero_copy_only=False)
-                    uniq, first_idx, counts = np.unique(
-                        h, return_index=True, return_counts=True)
-                    if (counts > 1).any():
-                        # deterministic winner ONLY for the (rare)
-                        # duplicated hashes: least on WINNER_ORDER;
-                        # unique hashes keep their single row untouched —
-                        # avoids sorting the whole partition. Winner
-                        # selection keys on the FULL quad columns, so a
-                        # 64-bit collision between distinct quads keeps
-                        # both rows instead of silently merging them.
-                        dup_hashes = uniq[counts > 1]
-                        dup_mask = np.isin(h, dup_hashes)
-                        sub = tbl.filter(pa.array(dup_mask)).to_pandas()
-                        sub["_orig"] = np.flatnonzero(dup_mask)
-                        sub = sub.sort_values(WINNER_ORDER,
-                                              kind="stable")
-                        winners = (sub.drop_duplicates(
-                            subset=QUAD_COLS, keep="first")["_orig"]
-                            .to_numpy())
-                        keep = np.concatenate(
-                            [first_idx[counts == 1], winners])
-                        keep.sort()
-                        tbl = tbl.take(pa.array(keep))
-                        h = tbl.column("quad_hash").to_numpy(
-                            zero_copy_only=False)
-                    # cross-flush seen set keys on the 128-bit
-                    # (quad_hash, quad_hash2) pair — 64 bits alone has
-                    # ~50% birthday collision odds at ~5e9 quads
-                    if "quad_hash2" in tbl.column_names:
-                        h2 = tbl.column("quad_hash2").to_numpy(
-                            zero_copy_only=False)
-                    else:
-                        h2 = np.zeros(len(h), dtype=np.uint64)
-                    # Seen set kept as SORTED numpy arrays: membership is
-                    # one vectorized searchsorted pass with a python
-                    # check only on 64-bit hits (a python tuple-set here
-                    # cost ~40 s of finalize at 21M quads).
-                    h = np.ascontiguousarray(h, dtype=np.uint64)
-                    h2 = np.ascontiguousarray(h2, dtype=np.uint64)
-                    seen = self.seen.get(pid)
-                    if seen is not None:
-                        sh, sh2 = seen
-                        lo = np.searchsorted(sh, h, side="left")
-                        hi = np.searchsorted(sh, h, side="right")
-                        cand = np.nonzero(hi > lo)[0]
-                        dup = np.zeros(len(h), dtype=bool)
-                        for i in cand:
-                            if h2[i] in sh2[lo[i]:hi[i]]:
-                                dup[i] = True
-                        if dup.any():
-                            keep_mask = ~dup
-                            tbl = tbl.filter(pa.array(keep_mask))
-                            h, h2 = h[keep_mask], h2[keep_mask]
-                        merged_h = np.concatenate([sh, h])
-                        merged_h2 = np.concatenate([sh2, h2])
-                    else:
-                        merged_h, merged_h2 = h, h2
-                    order = np.lexsort((merged_h2, merged_h))
-                    self.seen[pid] = (merged_h[order], merged_h2[order])
+            if not buffers:
+                return
+            window = pa.concat_tables(buffers)
+            if self.dedup:
+                window = keep_least(window, QUAD_COLS + ["partition_id"])
+            pids = window.column("partition_id").to_numpy(
+                zero_copy_only=False)
+            for pid, tbl in _split(window, pids):
+                if self.dedup:
+                    tbl = self._drop_seen(pid, tbl)
                 shas = np.unique(np.asarray(
                     tbl.column("content_sha256").to_numpy(
                         zero_copy_only=False), dtype="S64"))
@@ -192,10 +145,8 @@ def _writer_class():
                 part_dir = os.path.join(self.out_dir,
                                         f"partition_id={pid}")
                 os.makedirs(part_dir, exist_ok=True)
-                drop = [c for c in ("quad_hash", "quad_hash2",
-                                    "partition_id")
-                        if c in tbl.column_names]
-                out = tbl.drop_columns(drop) if drop else tbl
+                out = tbl.drop_columns(["quad_hash", "quad_hash2",
+                                        "partition_id"])
                 path = os.path.join(
                     part_dir,
                     f"part-w{self.writer_id:03d}-{self.file_idx:05d}"
@@ -204,12 +155,48 @@ def _writer_class():
                 self.file_idx += 1
                 self.flushed[pid] = self.flushed.get(pid, 0) + tbl.num_rows
 
+        def _drop_seen(self, pid: int, tbl: pa.Table) -> pa.Table:
+            """Drop the rows of ``tbl`` whose quad an earlier flush window
+            wrote to partition ``pid``, and add the rest to its seen-set."""
+            h = tbl.column("quad_hash").to_numpy(zero_copy_only=False)
+            # cross-flush seen set keys on the 128-bit (quad_hash,
+            # quad_hash2) pair — 64 bits alone has ~50% birthday
+            # collision odds at ~5e9 quads
+            h2 = tbl.column("quad_hash2").to_numpy(zero_copy_only=False)
+            # Seen set kept as SORTED numpy arrays: membership is one
+            # vectorized searchsorted pass with a python check only on
+            # 64-bit hits (a python tuple-set here cost ~40 s of finalize
+            # at 21M quads).
+            h = np.ascontiguousarray(h, dtype=np.uint64)
+            h2 = np.ascontiguousarray(h2, dtype=np.uint64)
+            seen = self.seen.get(pid)
+            if seen is not None:
+                sh, sh2 = seen
+                lo = np.searchsorted(sh, h, side="left")
+                hi = np.searchsorted(sh, h, side="right")
+                cand = np.nonzero(hi > lo)[0]
+                dup = np.zeros(len(h), dtype=bool)
+                for i in cand:
+                    if h2[i] in sh2[lo[i]:hi[i]]:
+                        dup[i] = True
+                if dup.any():
+                    keep_mask = ~dup
+                    tbl = tbl.filter(pa.array(keep_mask))
+                    h, h2 = h[keep_mask], h2[keep_mask]
+                merged_h = np.concatenate([sh, h])
+                merged_h2 = np.concatenate([sh2, h2])
+            else:
+                merged_h, merged_h2 = h, h2
+            order = np.lexsort((merged_h2, merged_h))
+            self.seen[pid] = (merged_h[order], merged_h2[order])
+            return tbl
+
         def finalize(self) -> dict:
             """Flush the job's rows and return its per-partition counts.
             The job's state is dropped after, so an idle writer holds no
             seen-set."""
             self._join_flusher()
-            self._flush()
+            self._flush_buffers(self.buffers)
             stats = {
                 "writer_id": self.writer_id,
                 "partitions": {int(pid): {

@@ -8,9 +8,13 @@ Usage: python scripts/check_determinism.py [sf_dir] [name ...]
 
 from __future__ import annotations
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in; main() also makes it the cwd, which
+# Ray workers put first on their sys.path
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 DEFAULT_QUERIES = [
     "q1_pricing_summary", "nation_revenue", "region_revenue",
@@ -41,8 +45,10 @@ def main():
     import pandas as pd
     import ray
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
+    sf_dir = os.path.abspath(sf_dir)
     names = sys.argv[2:] or DEFAULT_QUERIES
 
+    os.chdir(ROOT)
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  ignore_reinit_error=True, logging_level="ERROR")

@@ -4,9 +4,13 @@ values. Usage: python scripts/check_oracles.py [sf_dir] [name ...]"""
 
 from __future__ import annotations
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in; main() also makes it the cwd, which
+# Ray workers put first on their sys.path
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def to_pandas(result):
@@ -70,8 +74,10 @@ def main():
     import duckdb
     import ray
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
+    sf_dir = os.path.abspath(sf_dir)
     only = set(sys.argv[2:])
 
+    os.chdir(ROOT)
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  ignore_reinit_error=True, logging_level="ERROR")

@@ -4,6 +4,7 @@ and the fused task path on a small Ray session."""
 
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -19,7 +20,8 @@ import pytest
 
 from jsonld_js_ray.sources.repo_files import generate_repo_files
 from jsonld_js_ray.stages import expand_quads as eq
-from jsonld_js_ray.stages.dedup import (QUAD_COLS, add_quad_hash,
+from jsonld_js_ray.stages.dedup import (QUAD_COLS, WINNER_ORDER,
+                                        add_quad_hash, keep_least,
                                         partial_dedup_batch)
 from jsonld_js_ray.stages.extract import extract_batch
 from jsonld_js_ray.state import checkpoint
@@ -78,6 +80,54 @@ def test_partial_dedup_keeps_a_quad_in_every_partition():
     # within one partition, duplicates still go
     doubled = pa.concat_tables([quads, quads])
     assert partial_dedup_batch(doubled).num_rows == kept.num_rows
+
+
+def _random_quads(rng: random.Random, n: int) -> pa.Table:
+    """``n`` rows drawn from few quads over few partitions, with null
+    datatype/language/graph and copies that tie on part of
+    ``WINNER_ORDER``."""
+    def pick(values):
+        return [rng.choice(values) for _ in range(n)]
+
+    return pa.table({
+        "subject": pick(["s0", "s1"]),
+        "predicate": pick(["p0", "p1"]),
+        "object_kind": pa.array(pick([0, 1]), pa.int8()),
+        "object_value": pa.array(pick(["o0", "o1"]), pa.large_string()),
+        "datatype": pick([None, "xsd:string"]),
+        "language": pick([None, "en"]),
+        "graph": pick([None, "g0"]),
+        "repo": pick(["r0", "r1", "r2"]),
+        "path": pick(["a.jsonld", "b.jsonld"]),
+        "commit": pick(["c0", "c1"]),
+        "content_sha256": pick(["sha0", "sha1"]),
+        "partition_id": pa.array(pick([0, 1, 2]), pa.int32()),
+    })
+
+
+def _least_per_key(table: pa.Table, keys: list) -> list:
+    """Plain-Python reference: per distinct ``keys`` value the row least
+    on ``WINNER_ORDER``, the first such row on ties, in input order."""
+    rows = table.to_pylist()
+    best = {}
+    for i, row in enumerate(rows):
+        key = tuple(row[c] for c in keys)
+        rank = tuple(row[c] for c in WINNER_ORDER)
+        if key not in best or rank < best[key][0]:
+            best[key] = (rank, i)
+    return [rows[i] for i in sorted(i for _, i in best.values())]
+
+
+@pytest.mark.parametrize("keys", [QUAD_COLS, QUAD_COLS + ["partition_id"]],
+                         ids=["quad", "quad_partition"])
+def test_keep_least_matches_reference(keys):
+    rng = random.Random(7)
+    for n in (0, 1, 5, 40, 200):
+        for _ in range(20):
+            table = _random_quads(rng, n)
+            kept = keep_least(table, keys)
+            assert kept.schema == table.schema
+            assert kept.to_pylist() == _least_per_key(table, keys)
 
 
 @pytest.mark.parametrize("task,view", [
@@ -283,6 +333,30 @@ def test_writer_seen_set_drops_duplicates_across_flushes(ray_session,
     counts, pairs = results[50]
     assert pairs == expected
     assert counts == Counter(pid for pid, *_ in expected.elements())
+
+
+def test_failed_background_flush_fails_the_job(ray_session, tmp_path):
+    # the first send fills a flush window, so a background thread
+    # flushes it; a regular file where its partition's directory goes
+    # makes that flush fail, and finalize must report it, not return the
+    # later windows' counts as if the job were whole
+    import ray
+    from jsonld_js_ray.stages.partition_sink import WriterPool
+    batch = _hashed_quads(50)
+    pid = batch.column("partition_id")[0]
+    first = batch.filter(pc.equal(batch["partition_id"], pid))
+    rest = batch.filter(pc.not_equal(batch["partition_id"], pid))
+    out = tmp_path / "quads"
+    out.mkdir()
+    (out / f"partition_id={pid.as_py()}").write_text("")
+    pool = WriterPool(str(out), 1, dedup=True, flush_rows=first.num_rows)
+    writer = pool.handles()[0]
+    ray.get(writer.add.remote(first))
+    ray.get(writer.add.remote(rest.slice(0, first.num_rows - 1)))
+    with pytest.raises(ray.exceptions.RayTaskError):
+        pool.finalize()
+    pool.shutdown()
+    _live_writers(lambda ids: len(ids) <= NUM_WRITERS)
 
 
 def _lineage_forks_table() -> pa.Table:

@@ -16,21 +16,36 @@ import pytest
 
 from jsonld_js_ray.stages.dedup import QUAD_COLS
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 _RUN_SCRIPT = """
-import ray, sys
+import sys
+sys.path.insert(0, sys.argv[1])
+import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-sys.path.insert(0, "/root/repo")
 from jsonld_js_ray.pipelines.kg import run_kg_pipeline
 from jsonld_js_ray.sources.repo_files import repo_files_path_n
 corpus = repo_files_path_n(2000)
 print("START", flush=True)
-m = run_kg_pipeline(corpus, sys.argv[1], concurrency=1, batch_size=64)
+m = run_kg_pipeline(corpus, sys.argv[2], concurrency=1, batch_size=64)
 print("DONE", m["n_quads"], flush=True)
 ray.shutdown()
 """
+
+
+def _wait_group_gone(pgid: int, timeout: float = 30.0):
+    """Wait until no process of group ``pgid`` is left."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.1)
+    pytest.fail(f"processes of group {pgid} outlived SIGKILL")
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -48,8 +63,12 @@ def test_kill_and_resume_matches_clean_run(tmp_path):
     script = str(tmp_path / "run.py")
     with open(script, "w") as fh:
         fh.write(_RUN_SCRIPT)
-    proc = subprocess.Popen([sys.executable, script, out_killed],
-                            stdout=subprocess.PIPE, text=True)
+    # its own process group, so the kill reaches the run's Ray processes
+    # too, not only the script process; started in this checkout, as Ray
+    # workers import from the driver's cwd first
+    proc = subprocess.Popen([sys.executable, script, REPO_ROOT, out_killed],
+                            cwd=REPO_ROOT, stdout=subprocess.PIPE, text=True,
+                            start_new_session=True)
     # wait for pipeline start, then give it a moment and kill hard
     start = time.time()
     while time.time() - start < 60:
@@ -57,12 +76,10 @@ def test_kill_and_resume_matches_clean_run(tmp_path):
         if "START" in line:
             break
     time.sleep(4.0)
-    if proc.poll() is None:
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
-        killed = True
-    else:
-        killed = False  # finished before we could kill — still fine
+    # (if the run finished before the kill, that is still fine)
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+    _wait_group_gone(proc.pid)
 
     # resume (in the test's Ray session)
     resumed = run_kg_pipeline(corpus, out_killed, resume=True)
