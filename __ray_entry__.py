@@ -30,15 +30,25 @@ def _read_pdf(sf_dir: str, name: str):
 # ---------------------------------------------------------------------------
 # KG pipeline queries (JSON-LD over the synthetic repo-files corpus;
 # not SQL-expressible → rows-only checks; correctness is covered by the
-# kernel fixture suite in tests/)
+# kernel fixture suite in tests/, and kg_quads' rows and lineage by a
+# per-row reference in tests/test_pipeline.py)
 # ---------------------------------------------------------------------------
 
 def _kg_quads(sf_dir: str):
+    """The flagship job's deduped quads: ``run_kg_pipeline`` into a fresh
+    directory, read back as ``QUAD_SCHEMA`` rows (``partition_id`` comes
+    back from the hive path, so it is cast to int32 again)."""
+    import tempfile
+
+    import ray
     from jsonld_js_ray.pipelines.kg import (
-        build_quads, read_repo_files, repo_files_for_sf_dir)
-    from jsonld_js_ray.stages.dedup import dedup_quads
-    path = repo_files_for_sf_dir(sf_dir)
-    return dedup_quads(build_quads(read_repo_files(path)))
+        repo_files_for_sf_dir, run_kg_pipeline)
+    from jsonld_js_ray.stages.expand_quads import QUAD_SCHEMA
+    out_dir = tempfile.mkdtemp(prefix="kg_quads_")
+    run_kg_pipeline(repo_files_for_sf_dir(sf_dir), out_dir)
+    return ray.data.read_parquet(f"{out_dir}/quads").map_batches(
+        lambda b: b.select(QUAD_SCHEMA.names).cast(QUAD_SCHEMA),
+        batch_format="pyarrow")
 
 
 def _kg_nodes(sf_dir: str):
@@ -578,8 +588,9 @@ def _media_audio_chunks(sf_dir: str):
 
 
 def entry() -> Any:
-    """Flagship pipeline on /root/testdata/sf0.001: repo files →
-    extract → expand+toRDF (fused tasks) → dedup → quad Dataset."""
+    """Flagship pipeline on the sf0.001 testdata: repo files → extract
+    → expand+toRDF → partial dedup → writer-pool sink (one fused task
+    operator plus the writer actors) → the written quads as a Dataset."""
     return _kg_quads("/root/testdata/sf0.001")
 
 

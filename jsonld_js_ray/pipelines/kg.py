@@ -104,9 +104,8 @@ def run_kg_pipeline(input_path: str, out_dir: str,
                         concurrency=concurrency, batch_size=batch_size)
     quads = quads.map_batches(partial_dedup_batch, batch_format="pyarrow",
                               concurrency=concurrency)
-    quads = quads.map_batches(add_quad_hash, fn_kwargs={
-        "num_buckets": None}, batch_format="pyarrow",
-        concurrency=concurrency)
+    quads = quads.map_batches(add_quad_hash, batch_format="pyarrow",
+                              concurrency=concurrency)
     pool = WriterPool(data_dir, num_writers)
     try:
         routed = quads.map_batches(make_router(pool.handles(), num_writers),

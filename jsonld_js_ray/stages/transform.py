@@ -33,14 +33,16 @@ class _DocStage:
     out_col = "result"
 
     def __init__(self, snapshot_ref=None, options: Optional[dict] = None):
-        self.snapshot = load_snapshot(snapshot_ref)
         self.options = options or {}
+        # one resolver per stage instance, so its processed-context LRU
+        # outlives the batch that warmed it
+        self.resolver = ContextResolver(load_snapshot(snapshot_ref))
 
     def _opts(self):
         o = dict(self.options)
         o.setdefault("processingMode", "json-ld-1.1")
         o.setdefault("base", "")
-        o["context_resolver"] = ContextResolver(self.snapshot)
+        o["context_resolver"] = self.resolver
         return o
 
     def transform(self, doc, opts):

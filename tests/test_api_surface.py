@@ -151,6 +151,27 @@ class TestTransformStages:
         assert json.loads(out.column("expanded")[0].as_py()) == \
             api.from_rdf(nq)
 
+    def test_second_batch_hits_the_lru_the_first_warmed(self):
+        from jsonld_js_ray.sources.contexts import SCHEMA_LIKE
+        from jsonld_js_ray.stages.transform import ExpandStage
+        stage = ExpandStage()
+        lookups = []
+        get = stage.resolver.get_processed
+
+        def counting(key):
+            value = get(key)
+            lookups.append(value is not None)
+            return value
+
+        stage.resolver.get_processed = counting
+        batch = self._doc_batch([{"@context": SCHEMA_LIKE, "name": "x"}])
+        first = stage(batch)
+        assert lookups and not any(lookups)
+        lookups.clear()
+        second = stage(batch)
+        assert lookups and all(lookups)
+        assert second.equals(first)
+
     def test_bad_doc_marks_not_ok(self):
         from jsonld_js_ray.stages.transform import ExpandStage
         batch = pa.table({"content": pa.array(

@@ -9,8 +9,9 @@ import pyarrow.dataset as pads
 import pytest
 
 from jsonld_js_ray.sources.repo_files import generate_repo_files
-from jsonld_js_ray.stages.dedup import QUAD_COLS
-from jsonld_js_ray.stages.expand_quads import ExpandToQuads, doc_quads
+from jsonld_js_ray.stages.dedup import QUAD_COLS, WINNER_ORDER
+from jsonld_js_ray.stages.expand_quads import (QUAD_SCHEMA, ExpandToQuads,
+                                               doc_quads)
 from jsonld_js_ray.stages.extract import extract_batch
 from jsonld_js_ray.core.resolver import ContextResolver
 from jsonld_js_ray.sources.contexts import build_context_snapshot
@@ -231,6 +232,73 @@ def test_copies_share_one_kernel_pass_and_match_per_row(monkeypatch):
         got = getattr(stage, view)(batch).to_pylist()
         assert got == rows, view
         assert calls == Counter(set(jsonld)), view
+
+
+def _sorted_rows(rows):
+    return sorted(rows, key=lambda r: [repr(r[n]) for n in QUAD_SCHEMA.names])
+
+
+def _with_copies(table):
+    """``table`` plus two copies of every 8th JSON-LD row in its own repo
+    (so its partition): one at a lesser commit first, one at a lesser
+    path last. The least copy is then neither the first to arrive nor
+    the one a greatest-wins rule keeps."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    picked = table.filter(pc.equal(table["lang"], "jsonld")).take(
+        list(range(0, 400, 8)))
+    first = picked.set_column(2, "commit",
+                              pa.array(["0" * 40] * picked.num_rows))
+    last = picked.set_column(1, "path", pc.binary_join_element_wise(
+        "0/", picked["path"], ""))
+    return pa.concat_tables([first, table, last])
+
+
+@pytest.mark.parametrize("copies", [False, True], ids=["sf0.001",
+                                                       "sf0.001_copies"])
+def test_kg_quads_keeps_the_least_copy_per_partition(ray_session, tmp_path,
+                                                     monkeypatch, copies):
+    """``kg_quads`` at sf0.001 against a single-process reference that
+    shares no code with the fused path past ``doc_quads``: per-row quads
+    with sha-prefixed blank nodes, then per (partition_id, quad) the row
+    least on ``WINNER_ORDER``, lineage included. The sf0.001 corpus holds
+    no duplicate quad, so a second run adds copies for the winner rule
+    to decide."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    import __ray_entry__
+    from jsonld_js_ray.pipelines import kg
+    from jsonld_js_ray.sources.repo_files import repo_files_path
+    table = pq.read_table(repo_files_path(0.001))
+    if copies:
+        table = _with_copies(table)
+        (tmp_path / "input").mkdir()
+        pq.write_table(table, tmp_path / "input" / "part-0.parquet")
+        monkeypatch.setattr(kg, "repo_files_for_sf_dir",
+                            lambda sf_dir: str(tmp_path / "input"))
+    rows = _per_row_reference(extract_batch(table))["__call__"]
+
+    def key(row):
+        return (row["partition_id"], *(row[c] for c in QUAD_COLS))
+
+    def rank(row):
+        return tuple(row[c] for c in WINNER_ORDER)
+
+    best, ranks = {}, {}
+    for row in rows:
+        ranks.setdefault(key(row), set()).add(rank(row))
+        if key(row) not in best or rank(row) < rank(best[key(row)]):
+            best[key(row)] = row
+    # with copies, the winner rule decides rows of this check
+    assert any(len(r) > 1 for r in ranks.values()) == copies
+
+    ds = __ray_entry__.queries()["kg_quads"](str(tmp_path / "sf0.001"))
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.schema == QUAD_SCHEMA
+    assert _sorted_rows(got.to_pylist()) == \
+        _sorted_rows(list(best.values()))
 
 
 @pytest.mark.usefixtures("ray_session")
