@@ -10,11 +10,34 @@ module is imported — nothing here calls ray.init()/ray.shutdown().
 
 from __future__ import annotations
 
+import atexit
+import shutil
+import tempfile
 from collections.abc import Callable
 from typing import Any
 
 _K_ANN = 10
 _N_ANN_QUERIES = 5
+
+# this process's root for the dirs that queries write and their returned
+# Datasets read lazily; removed at exit
+_TMP_ROOT: str | None = None
+
+
+def _tmp_dir(prefix: str) -> str:
+    """A fresh dir under this process's temp root."""
+    global _TMP_ROOT
+    if _TMP_ROOT is None:
+        _TMP_ROOT = tempfile.mkdtemp(prefix="jsonld_js_ray_")
+    return tempfile.mkdtemp(prefix=prefix, dir=_TMP_ROOT)
+
+
+@atexit.register
+def _remove_tmp_root() -> None:
+    global _TMP_ROOT
+    if _TMP_ROOT is not None:
+        shutil.rmtree(_TMP_ROOT, ignore_errors=True)
+        _TMP_ROOT = None
 
 
 def _docs(sf_dir: str):
@@ -36,15 +59,14 @@ def _read_pdf(sf_dir: str, name: str):
 
 def _kg_quads(sf_dir: str):
     """The flagship job's deduped quads: ``run_kg_pipeline`` into a fresh
-    directory, read back as ``QUAD_SCHEMA`` rows (``partition_id`` comes
-    back from the hive path, so it is cast to int32 again)."""
-    import tempfile
-
+    dir under ``_TMP_ROOT``, read back as ``QUAD_SCHEMA`` rows
+    (``partition_id`` comes back from the hive path, so it is cast to
+    int32 again)."""
     import ray
     from jsonld_js_ray.pipelines.kg import (
         repo_files_for_sf_dir, run_kg_pipeline)
     from jsonld_js_ray.stages.expand_quads import QUAD_SCHEMA
-    out_dir = tempfile.mkdtemp(prefix="kg_quads_")
+    out_dir = _tmp_dir("kg_quads_")
     run_kg_pipeline(repo_files_for_sf_dir(sf_dir), out_dir)
     return ray.data.read_parquet(f"{out_dir}/quads").map_batches(
         lambda b: b.select(QUAD_SCHEMA.names).cast(QUAD_SCHEMA),
@@ -85,55 +107,33 @@ def _kg_doc_view(task: str):
     return run
 
 
-def _jsonld_transform(stage_name: str):
-    """Per-document API-surface stages over the repo-files corpus."""
+def _jsonld_transform(op: str):
+    """Per-document API queries (``api.expand/flatten/compact/frame``)
+    over the JSON rows of the repo-files corpus: one task operator after
+    the read, no actor pool."""
     def run(sf_dir: str):
         import ray
         from jsonld_js_ray.pipelines.kg import (
             read_repo_files, repo_files_for_sf_dir)
         from jsonld_js_ray.sources.contexts import build_context_snapshot
-        from jsonld_js_ray.stages import transform as tr
-        from jsonld_js_ray.util_ray import default_concurrency
-        import pyarrow.compute as pc
-        ds = read_repo_files(repo_files_for_sf_dir(sf_dir))
-        ds = ds.map_batches(
-            lambda b: b.filter(pc.is_in(
-                b.column("lang"), value_set=__import__("pyarrow").array(
-                    ["jsonld", "json"]))),
-            batch_format="pyarrow")
-        ref = ray.put(build_context_snapshot())
-        # ship ctx/frame dicts as object-store refs too: raw dicts in
-        # fn_constructor_kwargs defeat Ray's schema/arg hashing
-        # ("Failed to hash the schemas" log spam, no arg caching)
-        ctx_ref = ray.put({"@vocab": "http://ex.org/v/"})
-        frame_ref = ray.put(
-            {"@context": {"@vocab": "http://schema-like.example/"}})
-        stages = {
-            "expand": (tr.ExpandStage, {"snapshot_ref": ref}),
-            "flatten": (tr.FlattenStage, {"snapshot_ref": ref}),
-            "compact": (tr.CompactStage,
-                        {"snapshot_ref": ref, "ctx_ref": ctx_ref}),
-            "frame": (tr.FrameStage,
-                      {"snapshot_ref": ref, "frame_ref": frame_ref}),
-        }
-        cls, kwargs = stages[stage_name]
-        out = ds.map_batches(cls, fn_constructor_kwargs=kwargs,
-                             batch_format="pyarrow", batch_size=512,
-                             concurrency=default_concurrency(8),
-                             num_cpus=1)
-        return out.select_columns(["repo", "path", cls.out_col,
-                                   "transform_ok"])
+        from jsonld_js_ray.stages.transform import api_batch
+        arg = {"compact": {"@vocab": "http://ex.org/v/"},
+               "frame": {"@context": {
+                   "@vocab": "http://schema-like.example/"}}}.get(op)
+        return read_repo_files(repo_files_for_sf_dir(sf_dir)).map_batches(
+            api_batch, batch_format="pyarrow",
+            fn_kwargs={"snapshot_ref": ray.put(build_context_snapshot()),
+                       "op": op, "arg": arg})
     return run
 
 
 def _nquads_roundtrip(sf_dir: str):
     """Quads → N-Quads shards on disk → parse back (source+sink parity)."""
-    import tempfile
     from jsonld_js_ray.pipelines.kg import (
         build_quads, read_repo_files, repo_files_for_sf_dir)
     from jsonld_js_ray.sources.rdf_io import read_nquads, write_nquads
     quads = build_quads(read_repo_files(repo_files_for_sf_dir(sf_dir)))
-    out_dir = tempfile.mkdtemp(prefix="nq_roundtrip_")
+    out_dir = _tmp_dir("nq_roundtrip_")
     write_nquads(quads, out_dir)
     return read_nquads(f"{out_dir}/")
 

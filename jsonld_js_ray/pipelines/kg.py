@@ -138,15 +138,16 @@ def run_kg_pipeline(input_path: str, out_dir: str,
 
 def entity_summary(quads_ds):
     """Entity-linking aggregate: per canonical subject IRI, triple count and
-    referencing-doc count. Skew-safe: partial per-batch combine (vectorized
-    pandas groupby) before the small global groupby-sum (SURVEY.md §2.5).
+    referencing-doc count, in one shuffle. Skew-safe: each batch first
+    reduces to one row per (subject, doc) pair with its partial quad count
+    (vectorized pandas groupby, SURVEY.md §2.5), tagged with a coarse
+    bucket of the subject; one ``groupby(bucket).map_groups`` then sums
+    each pair and counts its subject's rows.
 
-    n_docs is a TRUE distinct count via two-stage groupby — a per-batch
-    ``nunique`` summed globally would count a document once per block it
-    spans, making the result vary with partitioning. Stage 1 reduces to
-    one row per (subject, doc) pair (carrying partial quad counts);
-    stage 2 counts those rows per subject.
-    """
+    n_docs is a TRUE distinct count: every partial of a subject lands in
+    that subject's bucket, so a document spanning several blocks still
+    counts once (a per-batch ``nunique`` summed globally would count it
+    once per block, making the result vary with partitioning)."""
     import pandas as pd
 
     n_buckets = 128
@@ -156,27 +157,20 @@ def entity_summary(quads_ds):
         g = (df.groupby(["subject", "content_sha256"])
                .agg(n_quads=("subject", "size"))
                .reset_index())
-        # coarse bucket of the pair key: per-(subject, doc) Ray groups
-        # would pay per-group overhead at one group per pair
-        g["_pb"] = ((pd.util.hash_array(g["subject"].to_numpy(
-            dtype=object)) ^ pd.util.hash_array(
-            g["content_sha256"].to_numpy(dtype=object)))
-            % n_buckets).astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def sum_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby(["subject", "content_sha256"], as_index=False)
-               ["n_quads"].sum())
-        out["n_quads"] = out["n_quads"].astype("int64")
-        out["_sb"] = (pd.util.hash_array(out["subject"].to_numpy(
+        # per-subject Ray groups would pay per-group overhead at one
+        # group per subject
+        g["_sb"] = (pd.util.hash_array(g["subject"].to_numpy(
             dtype=object)) % n_buckets).astype("int64")
-        return out
-
-    pair = (quads_ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_pb").map_groups(sum_pairs, batch_format="pandas"))
+        # no pandas metadata: a schema carrying a metadata dict is
+        # unhashable, and the shuffle's schema dedup then logs "Failed to
+        # hash the schemas" per reduce task
+        return pa.Table.from_pandas(
+            g, preserve_index=False).replace_schema_metadata()
 
     def per_subject(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby("subject")
+        pairs = g.groupby(["subject", "content_sha256"],
+                          as_index=False)["n_quads"].sum()
+        out = (pairs.groupby("subject")
                .agg(n_quads=("n_quads", "sum"),
                     n_docs=("content_sha256", "size"))
                .reset_index())
@@ -184,8 +178,8 @@ def entity_summary(quads_ds):
         out["n_docs"] = out["n_docs"].astype("int64")
         return out
 
-    return (pair.groupby("_sb")
-            .map_groups(per_subject, batch_format="pandas"))
+    return (quads_ds.map_batches(partial, batch_format="pyarrow")
+            .groupby("_sb").map_groups(per_subject, batch_format="pandas"))
 
 
 def doc_status(ds, snapshot=None, concurrency: Optional[int] = None,

@@ -3,7 +3,9 @@ partitionings where the input allows) and require IDENTICAL values —
 guards against float-summation order leaking through rounding, the
 failure mode the driver's hash gate would flag as a flaky mismatch.
 ``kg_quads`` is in the default set too: two runs of the flagship sink must
-write the same rows, lineage included.
+write the same rows, lineage included; so are ``kg_entity_summary`` (one
+group-by shuffle) and ``jsonld_compact_docs`` (the per-document API in
+fused tasks).
 
 Usage: python scripts/check_determinism.py [sf_dir] [name ...]
 """
@@ -22,7 +24,8 @@ DEFAULT_QUERIES = [
     "q1_pricing_summary", "nation_revenue", "region_revenue",
     "q3_shipping_priority", "events_hourly", "events_sliding_window",
     "events_sessions", "doc_ngram_jaccard", "doc_embedding_near_dup",
-    "doc_length_by_lang", "kg_quads",
+    "doc_length_by_lang", "kg_quads", "kg_entity_summary",
+    "jsonld_compact_docs",
 ]
 
 

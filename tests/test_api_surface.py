@@ -1,4 +1,4 @@
-"""API surface parity: merge, link, transform stages, RDF I/O
+"""API surface parity: merge, link, the per-document API batches, RDF I/O
 (reference surface: /root/reference/lib/jsonld.js public API)."""
 
 import json
@@ -108,77 +108,164 @@ def test_link_cycle_identity_with_context():
     assert inner["zeta"] is inner
 
 
-@pytest.mark.usefixtures("ray_session")
 class TestTransformStages:
+    """``stages.transform.api_batch`` without Ray (snapshot_ref None)."""
+
     def _doc_batch(self, docs):
-        return pa.table({"content": pa.array(
-            [json.dumps(d) for d in docs], pa.large_string())})
+        contents = [d if isinstance(d, str) else json.dumps(d)
+                    for d in docs]
+        return pa.table({
+            "repo": ["o/r"] * len(docs),
+            "path": [f"{i}.jsonld" for i in range(len(docs))],
+            "lang": ["jsonld"] * len(docs),
+            "content": pa.array(contents, pa.large_string())})
 
     def test_expand_flatten_compact_stages(self):
-        from jsonld_js_ray.stages.transform import (
-            CompactStage, ExpandStage, FlattenStage)
+        from jsonld_js_ray.stages.transform import api_batch
         docs = [{"@context": {"@vocab": V}, "@id": V + "a", "name": "x",
                  "child": {"name": "y"}}]
         batch = self._doc_batch(docs)
-        exp = ExpandStage()(batch)
+        exp = api_batch(batch, None, "expand")
+        assert exp.column_names == ["repo", "path", "expanded",
+                                    "transform_ok"]
         assert exp.column("transform_ok").to_pylist() == [True]
         expanded = json.loads(exp.column("expanded")[0].as_py())
         assert expanded == api.expand(docs[0])
 
-        flat = FlattenStage()(batch)
+        flat = api_batch(batch, None, "flatten")
         assert json.loads(flat.column("flattened")[0].as_py()) == \
             api.flatten(docs[0])
 
         ctx = {"@vocab": V}
-        comp = CompactStage(ctx_ref=ctx)(batch)
+        comp = api_batch(batch, None, "compact", ctx)
         assert json.loads(comp.column("compacted")[0].as_py()) == \
             api.compact(docs[0], ctx)
 
     def test_frame_stage(self):
-        from jsonld_js_ray.stages.transform import FrameStage
+        from jsonld_js_ray.stages.transform import api_batch
         doc = {"@context": {"@vocab": V},
                "@graph": [{"@id": V + "a", "@type": "T", "name": "x"}]}
         frame = {"@context": {"@vocab": V}, "@type": "T"}
-        out = FrameStage(frame_ref=frame)(self._doc_batch([doc]))
+        out = api_batch(self._doc_batch([doc]), None, "frame", frame)
         framed = json.loads(out.column("framed")[0].as_py())
         assert framed == api.frame(doc, frame)
 
-    def test_from_rdf_stage(self):
-        from jsonld_js_ray.stages.transform import FromRdfStage
-        nq = f'<{V}a> <{V}p> "v" .\n'
-        batch = pa.table({"nquads": pa.array([nq], pa.large_string())})
-        out = FromRdfStage()(batch)
-        assert json.loads(out.column("expanded")[0].as_py()) == \
-            api.from_rdf(nq)
-
-    def test_second_batch_hits_the_lru_the_first_warmed(self):
+    def test_second_batch_hits_the_lru_the_first_warmed(self, monkeypatch):
         from jsonld_js_ray.sources.contexts import SCHEMA_LIKE
-        from jsonld_js_ray.stages.transform import ExpandStage
-        stage = ExpandStage()
+        from jsonld_js_ray.stages import expand_quads
+        from jsonld_js_ray.stages.transform import api_batch
+        # a cold per-worker stage, as in a fresh worker process
+        monkeypatch.setattr(expand_quads, "_STAGE", None)
+        resolver = expand_quads._stage(None).resolver
         lookups = []
-        get = stage.resolver.get_processed
+        get = resolver.get_processed
 
         def counting(key):
             value = get(key)
             lookups.append(value is not None)
             return value
 
-        stage.resolver.get_processed = counting
+        monkeypatch.setattr(resolver, "get_processed", counting)
         batch = self._doc_batch([{"@context": SCHEMA_LIKE, "name": "x"}])
-        first = stage(batch)
+        first = api_batch(batch, None, "expand")
         assert lookups and not any(lookups)
         lookups.clear()
-        second = stage(batch)
+        second = api_batch(batch, None, "expand")
         assert lookups and all(lookups)
         assert second.equals(first)
 
     def test_bad_doc_marks_not_ok(self):
-        from jsonld_js_ray.stages.transform import ExpandStage
-        batch = pa.table({"content": pa.array(
-            ["{not json", '{"@context": 5, "@id": "http://x"}'],
-            pa.large_string())})
-        out = ExpandStage()(batch)
-        assert out.column("transform_ok").to_pylist() == [False, False]
+        from jsonld_js_ray.stages.transform import api_batch
+        batch = self._doc_batch(
+            ["{not json", '{"@context": 5, "@id": "http://x"}',
+             {"@id": V + "a", V + "p": "v"}])
+        out = api_batch(batch, None, "expand")
+        assert out.column("transform_ok").to_pylist() == [False, False,
+                                                          True]
+        assert out.column("expanded").to_pylist()[:2] == [None, None]
+
+    def test_programming_error_fails_the_batch(self, monkeypatch):
+        # only the kernel's per-document errors are quarantined as
+        # not-ok rows; a bug in the code must surface
+        from jsonld_js_ray.stages.transform import api_batch
+
+        def broken(document, options=None):
+            raise AttributeError("planted")
+
+        monkeypatch.setattr(api, "expand", broken)
+        with pytest.raises(AttributeError, match="planted"):
+            api_batch(self._doc_batch([{"@id": V + "a"}]), None, "expand")
+
+
+# the per-op argument each jsonld_*_docs query promises, restated here so
+# a change to the query's definition fails the gate below
+_QUERY_ARGS = {
+    "expand": (), "flatten": (None,),
+    "compact": ({"@vocab": "http://ex.org/v/"},),
+    "frame": ({"@context": {"@vocab": "http://schema-like.example/"}},),
+}
+
+
+@pytest.mark.parametrize("op", list(_QUERY_ARGS))
+def test_jsonld_docs_query_matches_per_row_api(ray_session, tmp_path,
+                                               monkeypatch, op):
+    """``queries()["jsonld_<op>_docs"]`` at sf0.001 against a per-row
+    reference computed without Ray: ``api.<op>`` on every JSON / JSON-LD
+    row with the context snapshot's resolver and an empty base. Three
+    planted rows join the corpus, whose documents all transform and
+    hold no relative IRI: one whose output depends on the base, and two
+    that must come out not-ok."""
+    import pyarrow.parquet as pq
+    import ray
+
+    import __ray_entry__
+    from jsonld_js_ray.core.resolver import ContextResolver
+    from jsonld_js_ray.pipelines import kg
+    from jsonld_js_ray.sources.contexts import build_context_snapshot
+    from jsonld_js_ray.sources.repo_files import repo_files_path
+    corpus = pq.read_table(repo_files_path(0.001))
+    planted = [("planted/r", path, "c" * 40, lang, content)
+               for path, lang, content in [
+                   ("rel.jsonld", "jsonld", json.dumps(
+                       {"@context": {"@vocab": V}, "@id": "../a/./b",
+                        "p": {"@id": "x"}})),
+                   ("bad.json", "json", "{not json"),
+                   ("ctx.jsonld", "jsonld", '{"@context": 5}')]]
+    table = pa.concat_tables([corpus, pa.Table.from_pylist(
+        [dict(zip(corpus.column_names, r)) for r in planted],
+        schema=corpus.schema)])
+    (tmp_path / "input").mkdir()
+    pq.write_table(table, tmp_path / "input" / "part-0.parquet")
+    monkeypatch.setattr(kg, "repo_files_for_sf_dir",
+                        lambda sf_dir: str(tmp_path / "input"))
+
+    opts = {"contextResolver": ContextResolver(build_context_snapshot()),
+            "base": ""}
+    fn = getattr(api, op)
+    want = []
+    for row in table.to_pylist():
+        if row["lang"] not in ("jsonld", "json"):
+            continue
+        try:
+            res = json.dumps(
+                fn(json.loads(row["content"]), *_QUERY_ARGS[op], opts),
+                separators=(",", ":"))
+        except (JsonLdError, ValueError):
+            res = None
+        want.append((row["repo"], row["path"], res, res is not None))
+    assert len(want) == 604
+    assert [w[1] for w in want if not w[3]] == ["bad.json", "ctx.jsonld"]
+
+    out_col = {"expand": "expanded", "flatten": "flattened",
+               "compact": "compacted", "frame": "framed"}[op]
+    ds = __ray_entry__.queries()[f"jsonld_{op}_docs"](
+        str(tmp_path / "sf0.001"))
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.column_names == ["repo", "path", out_col, "transform_ok"]
+    assert got.schema.field(out_col).type == pa.large_string()
+    assert got.schema.field("transform_ok").type == pa.bool_()
+    assert sorted(zip(*(c.to_pylist() for c in got.columns)),
+                  key=repr) == sorted(want, key=repr)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -458,3 +458,39 @@ class TestEntityLink:
             outs.append(out)
         assert outs[0].equals(outs[1])
         assert outs[0].equals(outs[2])
+
+
+def test_query_dirs_share_one_root_that_cleanup_removes(ray_session,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """``kg_quads`` and ``nquads_roundtrip`` write under one per-process
+    temp root; the exit hook removes it with everything in it."""
+    import os
+
+    import __ray_entry__
+    monkeypatch.setattr(__ray_entry__, "_TMP_ROOT", None)
+    out = __ray_entry__.queries()["nquads_roundtrip"](
+        str(tmp_path / "sf0.001")).to_pandas()
+    root = __ray_entry__._TMP_ROOT
+    assert root and len(out) == 2171
+    assert all(f.startswith(root + os.sep) for f in out["source_file"])
+    extra = __ray_entry__._tmp_dir("kg_quads_")
+    assert os.path.dirname(extra) == root
+    __ray_entry__._remove_tmp_root()
+    assert not os.path.exists(root)
+    assert __ray_entry__._TMP_ROOT is None
+
+
+def test_tmp_root_is_removed_at_exit():
+    import os
+    import subprocess
+    import sys
+
+    import __ray_entry__
+    code = ("import __ray_entry__ as m; "
+            "print(m._tmp_dir('kg_quads_'), flush=True)")
+    root = os.path.dirname(os.path.abspath(__ray_entry__.__file__))
+    made = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert made and not os.path.exists(os.path.dirname(made))
