@@ -48,7 +48,11 @@ def partial_nodes_batch(batch: pa.Table) -> pa.Table:
     key = (df["graph"].fillna("") + "\x00" + df["subject"]).to_numpy()
     df["bucket"] = (pd.util.hash_array(key)
                     % np.uint64(NUM_BUCKETS)).astype(np.int32)
-    return pa.Table.from_pandas(df, preserve_index=False)
+    # no pandas metadata: a schema carrying a metadata dict is unhashable,
+    # and the shuffle's schema dedup then logs "Failed to hash the
+    # schemas" per reduce task
+    return pa.Table.from_pandas(
+        df, preserve_index=False).replace_schema_metadata()
 
 
 def _node_json_rows(df: pd.DataFrame) -> pd.DataFrame:

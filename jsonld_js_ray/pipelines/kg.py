@@ -1,18 +1,24 @@
 """The flagship KG-construction pipeline (BASELINE.json north_star).
 
-read_parquet(repo files) → ONE fused map task per batch: extract/sha256
-→ expand+toRDF (``expand_batch``: a per-worker stage cached on the
-broadcast context snapshot) → per-partition partial dedup → quad hash →
-route, one send per writer actor → writer actors dedup per partition and
-write partitioned (subj, pred, obj) Parquet → per-partition manifest
-entries, then ``job.json``, which commits the job. A rerun over the same
-input returns the committed summary; any other run recomputes the whole
-job (state/checkpoint.py).
+read_parquet(repo files) → ONE map task per read block: in slices of
+``batch_size`` rows, extract/sha256 → expand+toRDF (``expand_batch``: a
+per-worker stage cached on the broadcast context snapshot) →
+per-partition partial dedup → quad hash → route, one send per writer
+actor → writer actors dedup per partition and write partitioned (subj,
+pred, obj) Parquet → per-partition manifest entries, then ``job.json``,
+which commits the job. A rerun over the same input returns the committed
+summary; any other run recomputes the whole job (state/checkpoint.py).
 
-The map stages are plain functions, so Ray fuses them into one task-pool
-operator that runs in already-warm pooled workers; the only actors are
-the writers, and they live for the Ray session: a job checks out an idle
-set and returns it at the end (stages/partition_sink.py).
+The read asks for ``max(files, CPUs)`` blocks. With at least as many
+files as CPUs that is one block per file, and Ray fuses the read and the
+map into one task-pool operator, ``ReadParquet->MapBatches(route_task)``:
+one task per input file, with no block crossing the object store between
+read and map. With fewer files Ray splits the read into one block per
+CPU, and the read runs as its own operator. The map takes whole blocks
+and slices them itself: a Ray ``batch_size`` would keep the read from
+fusing. The only actors are the writers, and they live for the Ray
+session: a job checks out an idle set and returns it at the end
+(stages/partition_sink.py).
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -22,7 +28,7 @@ from __future__ import annotations
 import os
 import shutil
 import time
-from typing import Optional
+from typing import Iterator, Optional
 
 import pyarrow as pa
 
@@ -37,11 +43,39 @@ from ..util_ray import cluster_cpus
 
 
 def read_repo_files(input_path: str):
+    """The repo-files Dataset of ``input_path``: one block per file, or
+    one per CPU when there are fewer files than CPUs."""
     import ray
+    n_files = len(checkpoint.input_files(input_path))
     # all five input columns are needed downstream; prune nothing here but
     # keep the explicit list so accidental extra columns never ship
     return ray.data.read_parquet(
-        input_path, columns=["repo", "path", "commit", "lang", "content"])
+        input_path, columns=["repo", "path", "commit", "lang", "content"],
+        override_num_blocks=max(n_files, cluster_cpus()))
+
+
+def _pieces(block: pa.Table, batch_size: int) -> Iterator[pa.Table]:
+    """``block`` as zero-copy slices of at most ``batch_size`` rows."""
+    for lo in range(0, block.num_rows, batch_size):
+        yield block.slice(lo, batch_size)
+
+
+def docs_task(block: pa.Table, task, snapshot_ref, num_partitions: int,
+              batch_size: int) -> Iterator[pa.Table]:
+    """``map_docs``'s map function: extract → ``task`` per slice of
+    ``batch_size`` rows, one output table per slice."""
+    for piece in _pieces(block, batch_size):
+        yield task(extract_batch(piece, num_partitions), snapshot_ref)
+
+
+def route_task(block: pa.Table, snapshot_ref, num_partitions: int,
+               batch_size: int, route) -> Iterator[pa.Table]:
+    """``run_kg_pipeline``'s map function: extract → expand → partial
+    dedup → quad hash → ``route`` per slice of ``batch_size`` rows."""
+    for piece in _pieces(block, batch_size):
+        quads = expand_batch(extract_batch(piece, num_partitions),
+                             snapshot_ref)
+        yield route(add_quad_hash(partial_dedup_batch(quads)))
 
 
 def map_docs(ds, task, snapshot=None,
@@ -52,20 +86,21 @@ def map_docs(ds, task, snapshot=None,
     ``status_batch``, ``canonical_batch`` or ``events_batch``), with the
     stage cached per worker on the ``ray.put`` snapshot.
 
-    ``concurrency`` caps the concurrent map tasks (None: as many as free
-    CPUs allow). Stages mapped after this one must pass the same value,
-    or Ray will not fuse them into the same task."""
+    One map function, ``docs_task``, runs extract and ``task`` on slices
+    of ``batch_size`` rows of each block, so ``batch_size`` is the scope
+    of content grouping (one kernel pass per distinct document). Over
+    ``read_repo_files`` it fuses with the read as the module docstring
+    says. ``concurrency`` caps the concurrent map tasks (None: as many as
+    free CPUs allow); a cap keeps the read, which has none, from
+    fusing."""
     import ray
     if snapshot is None:
         snapshot = build_context_snapshot()
-    snapshot_ref = ray.put(snapshot)
-
-    ds = ds.map_batches(extract_batch,
-                        fn_kwargs={"num_partitions": num_partitions},
-                        batch_format="pyarrow", concurrency=concurrency)
-    return ds.map_batches(task, fn_kwargs={"snapshot_ref": snapshot_ref},
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+    return ds.map_batches(
+        docs_task, batch_format="pyarrow", concurrency=concurrency,
+        fn_kwargs={"task": task, "snapshot_ref": ray.put(snapshot),
+                   "num_partitions": num_partitions,
+                   "batch_size": batch_size})
 
 
 def build_quads(ds, snapshot=None, num_partitions: int = DEFAULT_PARTITIONS,
@@ -85,7 +120,11 @@ def run_kg_pipeline(input_path: str, out_dir: str,
     The job is the unit of commit (state/checkpoint.py). With ``resume``,
     an ``out_dir`` holding a committed job over the same input returns
     that job's summary and starts no Ray work. Every other run deletes
-    the manifest and ``quads/`` and recomputes the whole job."""
+    the manifest and ``quads/`` and recomputes the whole job.
+
+    ``batch_size`` bounds the rows of one kernel call, so it sets the
+    scope of content grouping and of the map-side partial dedup."""
+    import ray
     fingerprint = checkpoint.input_fingerprint(input_path, num_partitions)
     committed = resume and checkpoint.committed_job(out_dir, fingerprint)
     if committed:
@@ -99,18 +138,14 @@ def run_kg_pipeline(input_path: str, out_dir: str,
     # streaming hash exchange into writer actors: no all-to-all barrier
     # (see stages/partition_sink.py)
     num_writers = max(2, min(16, cluster_cpus() // 4))
-    quads = build_quads(read_repo_files(input_path),
-                        num_partitions=num_partitions,
-                        concurrency=concurrency, batch_size=batch_size)
-    quads = quads.map_batches(partial_dedup_batch, batch_format="pyarrow",
-                              concurrency=concurrency)
-    quads = quads.map_batches(add_quad_hash, batch_format="pyarrow",
-                              concurrency=concurrency)
     pool = WriterPool(data_dir, num_writers)
     try:
-        routed = quads.map_batches(make_router(pool.handles(), num_writers),
-                                   batch_format="pyarrow",
-                                   concurrency=concurrency)
+        routed = read_repo_files(input_path).map_batches(
+            route_task, batch_format="pyarrow", concurrency=concurrency,
+            fn_kwargs={"snapshot_ref": ray.put(build_context_snapshot()),
+                       "num_partitions": num_partitions,
+                       "batch_size": batch_size,
+                       "route": make_router(pool.handles(), num_writers)})
         t0 = time.time()
         routed.count()  # drive the stream to completion
         stream_sec = time.time() - t0

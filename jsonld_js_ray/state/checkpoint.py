@@ -22,24 +22,29 @@ def manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
 
 
-def input_fingerprint(input_path: str, num_partitions: int) -> str:
-    """sha256 over the sorted (relative path, byte size, mtime_ns) of the
-    files ``ray.data.read_parquet(input_path)`` reads, plus
-    ``num_partitions``. Like Ray, a directory is walked recursively and
-    relative paths starting with "." or "_" are skipped."""
+def input_files(input_path: str) -> list[tuple[str, str]]:
+    """The sorted (relative path, path) of the files
+    ``ray.data.read_parquet(input_path)`` reads. Like Ray, a directory is
+    walked recursively and relative paths starting with "." or "_" are
+    skipped."""
     root = os.path.abspath(input_path)
     if os.path.isfile(root):
-        files = [(os.path.basename(root), root)]
-    else:
-        files = []
-        for parent, _, names in os.walk(root):
-            for name in names:
-                path = os.path.join(parent, name)
-                rel = os.path.relpath(path, root)
-                if not rel.startswith((".", "_")):
-                    files.append((rel, path))
+        return [(os.path.basename(root), root)]
+    files = []
+    for parent, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(parent, name)
+            rel = os.path.relpath(path, root)
+            if not rel.startswith((".", "_")):
+                files.append((rel, path))
+    return sorted(files)
+
+
+def input_fingerprint(input_path: str, num_partitions: int) -> str:
+    """sha256 over the (relative path, byte size, mtime_ns) of each of
+    ``input_files(input_path)``, plus ``num_partitions``."""
     h = hashlib.sha256(f"num_partitions={num_partitions}".encode())
-    for rel, path in sorted(files):
+    for rel, path in input_files(input_path):
         st = os.stat(path)
         h.update(f"\0{rel}\0{st.st_size}\0{st.st_mtime_ns}".encode())
     return h.hexdigest()

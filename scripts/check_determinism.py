@@ -3,9 +3,11 @@ partitionings where the input allows) and require IDENTICAL values —
 guards against float-summation order leaking through rounding, the
 failure mode the driver's hash gate would flag as a flaky mismatch.
 ``kg_quads`` is in the default set too: two runs of the flagship sink must
-write the same rows, lineage included; so are ``kg_entity_summary`` (one
-group-by shuffle) and ``jsonld_compact_docs`` (the per-document API in
-fused tasks).
+write the same rows, lineage included; so are ``kg_entity_summary`` and
+``kg_merged_nodes`` (one group-by shuffle each), ``kg_doc_status`` and
+``kg_canonical_nquads`` (projections of the per-document kernel pass,
+whose batches follow the read's blocks) and ``jsonld_compact_docs`` (the
+per-document API in fused tasks).
 
 Usage: python scripts/check_determinism.py [sf_dir] [name ...]
 """
@@ -25,6 +27,7 @@ DEFAULT_QUERIES = [
     "q3_shipping_priority", "events_hourly", "events_sliding_window",
     "events_sessions", "doc_ngram_jaccard", "doc_embedding_near_dup",
     "doc_length_by_lang", "kg_quads", "kg_entity_summary",
+    "kg_merged_nodes", "kg_doc_status", "kg_canonical_nquads",
     "jsonld_compact_docs",
 ]
 
