@@ -11,7 +11,7 @@ summary; any other run recomputes the whole job (state/checkpoint.py).
 
 The read asks for ``max(files, CPUs)`` blocks. With at least as many
 files as CPUs that is one block per file, and Ray fuses the read and the
-map into one task-pool operator, ``ReadParquet->MapBatches(route_task)``:
+map into one task-pool operator, ``ReadParquet->MapBatches(docs_task)``:
 one task per input file, with no block crossing the object store between
 read and map. With fewer files Ray splits the read into one block per
 CPU, and the read runs as its own operator. The map takes whole blocks
@@ -25,6 +25,7 @@ Every stage streams: nothing materializes the full dataset on the driver.
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 import time
@@ -68,14 +69,11 @@ def docs_task(block: pa.Table, task, snapshot_ref, num_partitions: int,
         yield task(extract_batch(piece, num_partitions), snapshot_ref)
 
 
-def route_task(block: pa.Table, snapshot_ref, num_partitions: int,
-               batch_size: int, route) -> Iterator[pa.Table]:
-    """``run_kg_pipeline``'s map function: extract → expand → partial
-    dedup → quad hash → ``route`` per slice of ``batch_size`` rows."""
-    for piece in _pieces(block, batch_size):
-        quads = expand_batch(extract_batch(piece, num_partitions),
-                             snapshot_ref)
-        yield route(add_quad_hash(partial_dedup_batch(quads)))
+def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
+    """``run_kg_pipeline``'s projection: expand → partial dedup → quad
+    hash → ``route``."""
+    return route(add_quad_hash(partial_dedup_batch(
+        expand_batch(batch, snapshot_ref))))
 
 
 def map_docs(ds, task, snapshot=None,
@@ -83,8 +81,9 @@ def map_docs(ds, task, snapshot=None,
              concurrency: Optional[int] = None, batch_size: int = 1024):
     """repo-files Dataset → extract → ``task`` (lazy, streaming): one
     projection of the per-document kernel pass (``expand_batch``,
-    ``status_batch``, ``canonical_batch`` or ``events_batch``), with the
-    stage cached per worker on the ``ray.put`` snapshot.
+    ``status_batch``, ``canonical_batch``, ``events_batch``, or
+    ``run_kg_pipeline``'s ``_route_quads``), with the stage cached per
+    worker on the ``ray.put`` snapshot.
 
     One map function, ``docs_task``, runs extract and ``task`` on slices
     of ``batch_size`` rows of each block, so ``batch_size`` is the scope
@@ -124,7 +123,6 @@ def run_kg_pipeline(input_path: str, out_dir: str,
 
     ``batch_size`` bounds the rows of one kernel call, so it sets the
     scope of content grouping and of the map-side partial dedup."""
-    import ray
     fingerprint = checkpoint.input_fingerprint(input_path, num_partitions)
     committed = resume and checkpoint.committed_job(out_dir, fingerprint)
     if committed:
@@ -140,12 +138,12 @@ def run_kg_pipeline(input_path: str, out_dir: str,
     num_writers = max(2, min(16, cluster_cpus() // 4))
     pool = WriterPool(data_dir, num_writers)
     try:
-        routed = read_repo_files(input_path).map_batches(
-            route_task, batch_format="pyarrow", concurrency=concurrency,
-            fn_kwargs={"snapshot_ref": ray.put(build_context_snapshot()),
-                       "num_partitions": num_partitions,
-                       "batch_size": batch_size,
-                       "route": make_router(pool.handles(), num_writers)})
+        routed = map_docs(
+            read_repo_files(input_path),
+            functools.partial(_route_quads,
+                              route=make_router(pool.handles(), num_writers)),
+            num_partitions=num_partitions, concurrency=concurrency,
+            batch_size=batch_size)
         t0 = time.time()
         routed.count()  # drive the stream to completion
         stream_sec = time.time() - t0

@@ -3,6 +3,7 @@ not depend on how the input is sharded into files, an input with at
 least as many files as CPUs must run as one fused read-and-map operator,
 and the kernel must see at most ``batch_size`` rows at a time."""
 
+import functools
 import re
 
 import pyarrow as pa
@@ -79,7 +80,7 @@ def test_as_many_files_as_cpus_run_as_one_operator(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ray.data.Dataset, "count", count)
     kg.run_kg_pipeline(corpus, str(tmp_path / "out"), resume=False)
-    assert driven == [["ReadParquet->MapBatches(route_task)"]]
+    assert driven == [["ReadParquet->MapBatches(docs_task)"]]
 
 
 def test_one_file_reads_one_block_per_cpu(tmp_path):
@@ -88,7 +89,7 @@ def test_one_file_reads_one_block_per_cpu(tmp_path):
         == cluster_cpus()
 
 
-def test_route_task_hands_the_kernel_batch_size_rows(monkeypatch):
+def test_kg_map_hands_the_kernel_batch_size_rows(monkeypatch):
     expanded, routed = [], []
     expand = kg.expand_batch
 
@@ -101,10 +102,11 @@ def test_route_task_hands_the_kernel_batch_size_rows(monkeypatch):
         return pa.table({"rows_routed": [batch.num_rows]})
 
     monkeypatch.setattr(kg, "expand_batch", recording_expand)
-    out = list(kg.route_task(generate_repo_files(3000),
-                             snapshot_ref=build_context_snapshot(),
-                             num_partitions=64, batch_size=1024,
-                             route=recording_route))
+    out = list(kg.docs_task(generate_repo_files(3000),
+                            functools.partial(kg._route_quads,
+                                              route=recording_route),
+                            snapshot_ref=build_context_snapshot(),
+                            num_partitions=64, batch_size=1024))
     assert expanded == [1024, 1024, 952]
     assert len(routed) == len(out) == 3
     assert all("quad_hash2" in t.column_names for t in routed)
