@@ -11,6 +11,7 @@ module is imported — nothing here calls ray.init()/ray.shutdown().
 from __future__ import annotations
 
 import atexit
+import functools
 import shutil
 import tempfile
 from collections.abc import Callable
@@ -61,50 +62,42 @@ def _kg_quads(sf_dir: str):
     """The flagship job's deduped quads: ``run_kg_pipeline`` into a fresh
     dir under ``_TMP_ROOT``, read back as ``QUAD_SCHEMA`` rows
     (``partition_id`` comes back from the hive path, so it is cast to
-    int32 again)."""
+    int32 again). A job with no quads writes no ``quads/`` dir, so it
+    gives an empty ``QUAD_SCHEMA`` Dataset."""
     import ray
     from jsonld_js_ray.pipelines.kg import (
         repo_files_for_sf_dir, run_kg_pipeline)
     from jsonld_js_ray.stages.expand_quads import QUAD_SCHEMA
     out_dir = _tmp_dir("kg_quads_")
-    run_kg_pipeline(repo_files_for_sf_dir(sf_dir), out_dir)
+    summary = run_kg_pipeline(repo_files_for_sf_dir(sf_dir), out_dir)
+    if not summary["n_quads"]:
+        return ray.data.from_arrow(QUAD_SCHEMA.empty_table())
     return ray.data.read_parquet(f"{out_dir}/quads").map_batches(
         lambda b: b.select(QUAD_SCHEMA.names).cast(QUAD_SCHEMA),
         batch_format="pyarrow")
 
 
+def _kg_docs(sf_dir: str, project=None):
+    """One projection of the per-document kernel pass (``expand_quads``'
+    ``expand_batch`` by default, or ``status_batch``, ``events_batch``,
+    ``canonical_batch``) over the tier's repo-files corpus: ``map_docs``,
+    one task operator fused with the read."""
+    from jsonld_js_ray.pipelines.kg import (
+        map_docs, read_repo_files, repo_files_for_sf_dir)
+    from jsonld_js_ray.stages.expand_quads import expand_batch
+    return map_docs(read_repo_files(repo_files_for_sf_dir(sf_dir)),
+                    project or expand_batch)
+
+
 def _kg_nodes(sf_dir: str):
     """Corpus node merge (entity linking): quads → merged JSON-LD nodes."""
     from jsonld_js_ray.pipelines.entity_link import merge_entities
-    from jsonld_js_ray.pipelines.kg import (
-        build_quads, read_repo_files, repo_files_for_sf_dir)
-    quads = build_quads(read_repo_files(repo_files_for_sf_dir(sf_dir)))
-    return merge_entities(quads)
+    return merge_entities(_kg_docs(sf_dir))
 
 
 def _kg_entity_summary(sf_dir: str):
-    from jsonld_js_ray.pipelines.kg import (
-        build_quads, entity_summary, read_repo_files, repo_files_for_sf_dir)
-    path = repo_files_for_sf_dir(sf_dir)
-    return entity_summary(build_quads(read_repo_files(path)))
-
-
-def _kg_doc_status(sf_dir: str):
-    from jsonld_js_ray.pipelines.kg import (
-        doc_status, read_repo_files, repo_files_for_sf_dir)
-    return doc_status(read_repo_files(repo_files_for_sf_dir(sf_dir)))
-
-
-def _kg_doc_view(task: str):
-    """kg_doc_events / kg_canonical_nquads: one projection of the
-    per-document kernel pass, fused with extract into one task operator."""
-    def run(sf_dir: str):
-        from jsonld_js_ray.pipelines.kg import (
-            map_docs, read_repo_files, repo_files_for_sf_dir)
-        from jsonld_js_ray.stages import expand_quads
-        return map_docs(read_repo_files(repo_files_for_sf_dir(sf_dir)),
-                        getattr(expand_quads, task))
-    return run
+    from jsonld_js_ray.pipelines.kg import entity_summary
+    return entity_summary(_kg_docs(sf_dir))
 
 
 def _jsonld_transform(op: str):
@@ -128,13 +121,11 @@ def _jsonld_transform(op: str):
 
 
 def _nquads_roundtrip(sf_dir: str):
-    """Quads → N-Quads shards on disk → parse back (source+sink parity)."""
-    from jsonld_js_ray.pipelines.kg import (
-        build_quads, read_repo_files, repo_files_for_sf_dir)
+    """Quads → N-Quads shards on disk → parse back (source+sink parity);
+    ``source_file`` is the shard's name within the dir."""
     from jsonld_js_ray.sources.rdf_io import read_nquads, write_nquads
-    quads = build_quads(read_repo_files(repo_files_for_sf_dir(sf_dir)))
     out_dir = _tmp_dir("nq_roundtrip_")
-    write_nquads(quads, out_dir)
+    write_nquads(_kg_docs(sf_dir), out_dir)
     return read_nquads(f"{out_dir}/")
 
 
@@ -595,14 +586,18 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
+    from jsonld_js_ray.stages import expand_quads
     return {
         # KG construction (SURVEY.md §2.2/§3; rows-only checks)
         "kg_quads": _kg_quads,
         "kg_entity_summary": _kg_entity_summary,
         "kg_merged_nodes": _kg_nodes,
-        "kg_doc_status": _kg_doc_status,
-        "kg_doc_events": _kg_doc_view("events_batch"),
-        "kg_canonical_nquads": _kg_doc_view("canonical_batch"),
+        "kg_doc_status": functools.partial(
+            _kg_docs, project=expand_quads.status_batch),
+        "kg_doc_events": functools.partial(
+            _kg_docs, project=expand_quads.events_batch),
+        "kg_canonical_nquads": functools.partial(
+            _kg_docs, project=expand_quads.canonical_batch),
         "jsonld_expand_docs": _jsonld_transform("expand"),
         "jsonld_flatten_docs": _jsonld_transform("flatten"),
         "jsonld_compact_docs": _jsonld_transform("compact"),

@@ -14,11 +14,14 @@ files as CPUs that is one block per file, and Ray fuses the read and the
 map into one task-pool operator, ``ReadParquet->MapBatches(docs_task)``:
 one task per input file, with no block crossing the object store between
 read and map. With fewer files Ray splits the read into one block per
-CPU, and the read runs as its own operator. The map takes whole blocks
-and slices them itself: a Ray ``batch_size`` would keep the read from
-fusing. The only actors are the writers, and they live for the Ray
-session: a job checks out an idle set and returns it at the end
-(stages/partition_sink.py).
+CPU, and the read runs as its own operator. The input alone picks the
+plan: the map puts no cap on its tasks, since any cap keeps the read,
+which has none, from fusing. The map takes whole blocks and slices them
+itself: a Ray ``batch_size`` would keep the read from fusing too. The
+KG queries and the flagship job all map through ``map_docs``, each with
+its own projection of the kernel pass. The only actors are the writers,
+and they live for the Ray session: a job checks out an idle set and
+returns it at the end (stages/partition_sink.py).
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -29,14 +32,14 @@ import functools
 import os
 import shutil
 import time
-from typing import Iterator, Optional
+from typing import Iterator
 
 import pyarrow as pa
 
 from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
 from ..stages.dedup import add_quad_hash, partial_dedup_batch
-from ..stages.expand_quads import expand_batch, status_batch
+from ..stages.expand_quads import expand_batch
 from ..stages.extract import DEFAULT_PARTITIONS, extract_batch
 from ..stages.partition_sink import WriterPool, make_router
 from ..state import checkpoint
@@ -61,12 +64,12 @@ def _pieces(block: pa.Table, batch_size: int) -> Iterator[pa.Table]:
         yield block.slice(lo, batch_size)
 
 
-def docs_task(block: pa.Table, task, snapshot_ref, num_partitions: int,
+def docs_task(block: pa.Table, task, snapshot_ref,
               batch_size: int) -> Iterator[pa.Table]:
     """``map_docs``'s map function: extract → ``task`` per slice of
     ``batch_size`` rows, one output table per slice."""
     for piece in _pieces(block, batch_size):
-        yield task(extract_batch(piece, num_partitions), snapshot_ref)
+        yield task(extract_batch(piece, DEFAULT_PARTITIONS), snapshot_ref)
 
 
 def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
@@ -76,43 +79,27 @@ def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
         expand_batch(batch, snapshot_ref))))
 
 
-def map_docs(ds, task, snapshot=None,
-             num_partitions: int = DEFAULT_PARTITIONS,
-             concurrency: Optional[int] = None, batch_size: int = 1024):
+def map_docs(ds, task, batch_size: int = 1024):
     """repo-files Dataset → extract → ``task`` (lazy, streaming): one
     projection of the per-document kernel pass (``expand_batch``,
     ``status_batch``, ``canonical_batch``, ``events_batch``, or
     ``run_kg_pipeline``'s ``_route_quads``), with the stage cached per
-    worker on the ``ray.put`` snapshot.
+    worker on the ``ray.put`` context snapshot.
 
     One map function, ``docs_task``, runs extract and ``task`` on slices
     of ``batch_size`` rows of each block, so ``batch_size`` is the scope
     of content grouping (one kernel pass per distinct document). Over
     ``read_repo_files`` it fuses with the read as the module docstring
-    says. ``concurrency`` caps the concurrent map tasks (None: as many as
-    free CPUs allow); a cap keeps the read, which has none, from
-    fusing."""
+    says."""
     import ray
-    if snapshot is None:
-        snapshot = build_context_snapshot()
     return ds.map_batches(
-        docs_task, batch_format="pyarrow", concurrency=concurrency,
-        fn_kwargs={"task": task, "snapshot_ref": ray.put(snapshot),
-                   "num_partitions": num_partitions,
+        docs_task, batch_format="pyarrow",
+        fn_kwargs={"task": task,
+                   "snapshot_ref": ray.put(build_context_snapshot()),
                    "batch_size": batch_size})
 
 
-def build_quads(ds, snapshot=None, num_partitions: int = DEFAULT_PARTITIONS,
-                concurrency: Optional[int] = None, batch_size: int = 1024):
-    """repo-files Dataset → quad Dataset (lazy, streaming)."""
-    return map_docs(ds, expand_batch, snapshot, num_partitions, concurrency,
-                    batch_size)
-
-
-def run_kg_pipeline(input_path: str, out_dir: str,
-                    num_partitions: int = DEFAULT_PARTITIONS,
-                    concurrency: Optional[int] = None,
-                    batch_size: int = 1024,
+def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
                     resume: bool = True) -> dict:
     """End-to-end run into ``out_dir``; returns the job summary.
 
@@ -123,7 +110,8 @@ def run_kg_pipeline(input_path: str, out_dir: str,
 
     ``batch_size`` bounds the rows of one kernel call, so it sets the
     scope of content grouping and of the map-side partial dedup."""
-    fingerprint = checkpoint.input_fingerprint(input_path, num_partitions)
+    fingerprint = checkpoint.input_fingerprint(input_path,
+                                               DEFAULT_PARTITIONS)
     committed = resume and checkpoint.committed_job(out_dir, fingerprint)
     if committed:
         return committed
@@ -142,7 +130,6 @@ def run_kg_pipeline(input_path: str, out_dir: str,
             read_repo_files(input_path),
             functools.partial(_route_quads,
                               route=make_router(pool.handles(), num_writers)),
-            num_partitions=num_partitions, concurrency=concurrency,
             batch_size=batch_size)
         t0 = time.time()
         routed.count()  # drive the stream to completion
@@ -213,12 +200,6 @@ def entity_summary(quads_ds):
 
     return (quads_ds.map_batches(partial, batch_format="pyarrow")
             .groupby("_sb").map_groups(per_subject, batch_format="pandas"))
-
-
-def doc_status(ds, snapshot=None, concurrency: Optional[int] = None,
-               num_partitions: int = DEFAULT_PARTITIONS):
-    """Per-document status/metrics Dataset (quarantine accounting)."""
-    return map_docs(ds, status_batch, snapshot, num_partitions, concurrency)
 
 
 def repo_files_for_sf_dir(sf_dir: str) -> str:

@@ -9,6 +9,7 @@ a global sort of all quads is an all-to-all, SURVEY.md §2.6)."""
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import pyarrow as pa
@@ -60,10 +61,22 @@ def _quads_to_table(quads, source: str) -> pa.Table:
     return pa.table(arrays)
 
 
+def _source_root(paths) -> str:
+    """The directory ``read_nquads`` names its files relative to: the
+    one directory given, or the directory holding every path given."""
+    paths = [paths] if isinstance(paths, str) else paths
+    return os.path.commonpath([
+        p if os.path.isdir(p) else os.path.dirname(p)
+        for p in map(os.path.abspath, paths)])
+
+
 def read_nquads(paths, content_type: str = "application/n-quads"):
-    """N-Quads file(s) → quad Dataset (one row per quad + source_file)."""
+    """N-Quads file(s) → quad Dataset (one row per quad + source_file,
+    the file's path relative to ``paths``' directory, so the rows do not
+    depend on where the files live)."""
     import ray
     parser = RDF_PARSERS[content_type]
+    root = _source_root(paths)
     files = ray.data.read_binary_files(paths, include_paths=True)
 
     def parse_batch(batch: pa.Table) -> pa.Table:
@@ -71,7 +84,8 @@ def read_nquads(paths, content_type: str = "application/n-quads"):
         for path, data in zip(batch.column("path").to_pylist(),
                               batch.column("bytes").to_pylist()):
             quads = parser(data.decode("utf-8"))
-            tables.append(_quads_to_table(quads, path))
+            tables.append(_quads_to_table(quads,
+                                          os.path.relpath(path, root)))
         if not tables:
             return _quads_to_table([], "")
         return pa.concat_tables(tables)
@@ -98,7 +112,6 @@ def write_nquads(quads_ds, out_dir: str, sort_lines: bool = True):
     """Quad Dataset → directory of .nq shards (each task writes its own
     shard, named by content hash — deterministic and rerun-safe)."""
     import hashlib
-    import os
 
     os.makedirs(out_dir, exist_ok=True)
 

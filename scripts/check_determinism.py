@@ -6,8 +6,9 @@ failure mode the driver's hash gate would flag as a flaky mismatch.
 write the same rows, lineage included; so are ``kg_entity_summary`` and
 ``kg_merged_nodes`` (one group-by shuffle each), ``kg_doc_status`` and
 ``kg_canonical_nquads`` (projections of the per-document kernel pass,
-whose batches follow the read's blocks) and ``jsonld_compact_docs`` (the
-per-document API in fused tasks).
+whose batches follow the read's blocks), ``jsonld_compact_docs`` (the
+per-document API in fused tasks) and ``nquads_roundtrip`` (N-Quads shards
+named by content hash, read back with paths relative to their dir).
 
 Usage: python scripts/check_determinism.py [sf_dir] [name ...]
 """
@@ -28,7 +29,7 @@ DEFAULT_QUERIES = [
     "events_sessions", "doc_ngram_jaccard", "doc_embedding_near_dup",
     "doc_length_by_lang", "kg_quads", "kg_entity_summary",
     "kg_merged_nodes", "kg_doc_status", "kg_canonical_nquads",
-    "jsonld_compact_docs",
+    "jsonld_compact_docs", "nquads_roundtrip",
 ]
 
 

@@ -386,7 +386,8 @@ def _lineage_forks_table() -> pa.Table:
 
 
 def _lineage_rows(table: pa.Table) -> set:
-    cols = ["partition_id", *QUAD_COLS, "repo", "path", "commit"]
+    cols = ["partition_id", *QUAD_COLS, "repo", "path", "commit",
+            "content_sha256"]
     return set(zip(*[table.column(c).to_pylist() for c in cols]))
 
 
@@ -417,8 +418,8 @@ def test_written_lineage_is_the_least_copy_at_any_batch_size(ray_session,
         n = len(QUAD_COLS)
         quad, key = tuple(rest[:n]), tuple(rest[n:])
         least[(pid, quad)] = min(key, least.get((pid, quad), key))
-    expected = {(pid, *quad, repo, path, commit)
-                for (pid, quad), (_, path, repo, commit) in least.items()}
+    expected = {(pid, *quad, repo, path, commit, sha)
+                for (pid, quad), (sha, path, repo, commit) in least.items()}
     assert written[1024] == expected
 
 

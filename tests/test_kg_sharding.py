@@ -37,7 +37,9 @@ def _operators(stats: str) -> list:
 @pytest.mark.parametrize("batch_size", [64, 1024])
 def test_output_does_not_depend_on_input_sharding(tmp_path, batch_size):
     # 1 and 3 files: Ray splits the read into one block per CPU, and the
-    # map is its own operator; 8 files: one block per file, fused
+    # map is its own operator; 8 files: one block per file, fused. The
+    # file count is what sets how many map tasks run, so this is also
+    # the check that output does not depend on parallelism.
     assert 3 < cluster_cpus() <= 8
     # copies across forks and commits, so the winner rule decides rows
     table = _lineage_forks_table()
@@ -106,7 +108,7 @@ def test_kg_map_hands_the_kernel_batch_size_rows(monkeypatch):
                             functools.partial(kg._route_quads,
                                               route=recording_route),
                             snapshot_ref=build_context_snapshot(),
-                            num_partitions=64, batch_size=1024))
+                            batch_size=1024))
     assert expanded == [1024, 1024, 952]
     assert len(routed) == len(out) == 3
     assert all("quad_hash2" in t.column_names for t in routed)

@@ -1,5 +1,7 @@
 """End-to-end Ray pipeline tests (FIXTURES.md §4-5 t1 tier):
-sha256 invariant, dedup, determinism across parallelism, resume."""
+sha256 invariant, dedup, resume. That the output does not depend on how
+the input is sharded, so on how many map tasks run, is
+tests/test_kg_sharding.py's check."""
 
 import hashlib
 import json
@@ -301,15 +303,39 @@ def test_kg_quads_keeps_the_least_copy_per_partition(ray_session, tmp_path,
         _sorted_rows(list(best.values()))
 
 
+def test_kg_quads_without_jsonld_is_empty(ray_session, tmp_path,
+                                         monkeypatch):
+    """A corpus with no JSON-LD commits a job of 0 quads that writes no
+    ``quads/`` dir; ``kg_quads`` then gives 0 ``QUAD_SCHEMA`` rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    import __ray_entry__
+    from jsonld_js_ray.pipelines import kg
+    schema = generate_repo_files(1).schema
+    (tmp_path / "input").mkdir()
+    for i in range(4):
+        pq.write_table(pa.table({"repo": ["o/r"], "path": [f"m{i}.py"],
+                                 "commit": ["c"], "lang": ["python"],
+                                 "content": ["print(1)"]}, schema=schema),
+                       tmp_path / "input" / f"part-{i}.parquet")
+    monkeypatch.setattr(kg, "repo_files_for_sf_dir",
+                        lambda sf_dir: str(tmp_path / "input"))
+    ds = __ray_entry__.queries()["kg_quads"](str(tmp_path / "sf0.001"))
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.schema == QUAD_SCHEMA
+    assert got.num_rows == 0
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestRayPipeline:
-    def _run(self, tmp_out, n_cpus_hint=2):
-        import ray
+    def _run(self, tmp_out):
         from jsonld_js_ray.pipelines.kg import run_kg_pipeline
         from jsonld_js_ray.sources.repo_files import repo_files_path
-        path = repo_files_path(0.0003)  # 300 rows
+        path = repo_files_path(0.0003)  # 300 rows in 8 files
         shutil.rmtree(tmp_out, ignore_errors=True)
-        return run_kg_pipeline(path, tmp_out, concurrency=n_cpus_hint)
+        return run_kg_pipeline(path, tmp_out)
 
     def test_end_to_end_and_resume(self, tmp_path):
         out = str(tmp_path / "kg")
@@ -330,29 +356,13 @@ class TestRayPipeline:
         assert set(m2["resumed_skipped"]) >= set(
             df["partition_id"].unique().tolist())
 
-    def test_determinism_across_parallelism(self, tmp_path):
-        out1 = str(tmp_path / "p2")
-        out2 = str(tmp_path / "p4")
-        self._run(out1, n_cpus_hint=2)
-        self._run(out2, n_cpus_hint=4)
-        t1 = pads.dataset(out1 + "/quads", partitioning="hive").to_table()
-        t2 = pads.dataset(out2 + "/quads", partitioning="hive").to_table()
-        import pandas as pd
-        key_cols = QUAD_COLS + ["repo", "path", "content_sha256"]
-        d1 = t1.to_pandas()[key_cols].sort_values(key_cols,
-                                                  kind="stable")
-        d2 = t2.to_pandas()[key_cols].sort_values(key_cols,
-                                                  kind="stable")
-        pd.testing.assert_frame_equal(d1.reset_index(drop=True),
-                                      d2.reset_index(drop=True))
-
     def test_entity_summary(self):
-        import ray
         from jsonld_js_ray.pipelines.kg import (
-            build_quads, entity_summary, read_repo_files)
+            entity_summary, map_docs, read_repo_files)
         from jsonld_js_ray.sources.repo_files import repo_files_path
-        quads = build_quads(read_repo_files(repo_files_path(0.0003)),
-                            concurrency=2)
+        from jsonld_js_ray.stages.expand_quads import expand_batch
+        quads = map_docs(read_repo_files(repo_files_path(0.0003)),
+                         expand_batch)
         ent = entity_summary(quads).to_pandas()
         assert (ent["n_quads"] > 0).all()
         assert ent["subject"].is_unique
@@ -375,7 +385,8 @@ class TestRayPipeline:
     def test_doc_status_quarantine(self):
         import pyarrow as pa
         import ray
-        from jsonld_js_ray.pipelines.kg import doc_status
+        from jsonld_js_ray.pipelines.kg import map_docs
+        from jsonld_js_ray.stages.expand_quads import status_batch
         bad = pa.table({
             "repo": ["o/r", "o/r"],
             "path": ["a.jsonld", "b.jsonld"],
@@ -385,7 +396,7 @@ class TestRayPipeline:
                         '{"@id": "http://x/a", "http://p": "v"}'],
         })
         ds = ray.data.from_arrow(bad)
-        st = doc_status(ds, concurrency=2).to_pandas()
+        st = map_docs(ds, status_batch).to_pandas()
         st = st.set_index("path")
         assert st.loc["a.jsonld", "status"] == "error"
         assert st.loc["b.jsonld", "status"] == "ok"
@@ -465,6 +476,7 @@ def test_query_dirs_share_one_root_that_cleanup_removes(ray_session,
                                                         monkeypatch):
     """``kg_quads`` and ``nquads_roundtrip`` write under one per-process
     temp root; the exit hook removes it with everything in it."""
+    import glob
     import os
 
     import __ray_entry__
@@ -473,7 +485,11 @@ def test_query_dirs_share_one_root_that_cleanup_removes(ray_session,
         str(tmp_path / "sf0.001")).to_pandas()
     root = __ray_entry__._TMP_ROOT
     assert root and len(out) == 2171
-    assert all(f.startswith(root + os.sep) for f in out["source_file"])
+    # the rows name their shards relative to the query's dir, which
+    # holds every one of them
+    shards = {os.path.basename(f) for f in
+              glob.glob(os.path.join(root, "nq_roundtrip_*", "*.nq"))}
+    assert set(out["source_file"]) <= shards
     extra = __ray_entry__._tmp_dir("kg_quads_")
     assert os.path.dirname(extra) == root
     __ray_entry__._remove_tmp_root()

@@ -1,9 +1,13 @@
 """Resume-after-kill completeness (FIXTURES.md §4): a run killed
 mid-flight must, after resume, produce exactly the same output as a
 clean run. The killed job never committed, so the resumed run deletes
-its partial output and recomputes the whole job."""
+its partial output and recomputes the whole job.
 
-import json
+The run is killed at a fixed point, set inside the child script, never
+by timing: mid-stream (a map task has routed its first slice to the
+writers and blocks), or after the first manifest entry is written and
+before ``job.json`` commits the job (the driver blocks)."""
+
 import os
 import signal
 import subprocess
@@ -15,22 +19,54 @@ import pyarrow.dataset as pads
 import pytest
 
 from jsonld_js_ray.stages.dedup import QUAD_COLS
+from jsonld_js_ray.state import checkpoint
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# argv: checkout, out_dir, kill point, marker file. The run touches the
+# marker when it reaches the kill point, then blocks until killed.
 _RUN_SCRIPT = """
 import sys
+import time
 sys.path.insert(0, sys.argv[1])
 import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+from jsonld_js_ray.pipelines import kg
 from jsonld_js_ray.sources.repo_files import repo_files_path_n
+from jsonld_js_ray.state import checkpoint
+out_dir, kill_point, marker = sys.argv[2:5]
+
+
+def block_here():
+    open(marker, "w").close()
+    time.sleep(600)
+
+
+if kill_point == "mid_stream":
+    # runs in the map tasks: route the first slice, then block
+    route_quads = kg._route_quads
+
+    def route_then_block(batch, snapshot_ref, route):
+        routed = route_quads(batch, snapshot_ref, route)
+        block_here()
+        return routed
+
+    kg._route_quads = route_then_block
+else:
+    # runs in this driver: one entry on disk, no job.json
+    write_partition_entry = checkpoint.write_partition_entry
+
+    def write_then_block(*args, **kwargs):
+        write_partition_entry(*args, **kwargs)
+        block_here()
+
+    checkpoint.write_partition_entry = write_then_block
+
 corpus = repo_files_path_n(2000)
-print("START", flush=True)
-m = run_kg_pipeline(corpus, sys.argv[2], concurrency=1, batch_size=64)
+m = kg.run_kg_pipeline(corpus, out_dir, batch_size=64)
 print("DONE", m["n_quads"], flush=True)
 ray.shutdown()
 """
@@ -48,41 +84,66 @@ def _wait_group_gone(pgid: int, timeout: float = 30.0):
     pytest.fail(f"processes of group {pgid} outlived SIGKILL")
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_kill_and_resume_matches_clean_run(tmp_path):
-    out_killed = str(tmp_path / "killed")
-    out_clean = str(tmp_path / "clean")
-
-    # clean reference run (in-process)
-    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
-    from jsonld_js_ray.sources.repo_files import repo_files_path_n
-    corpus = repo_files_path_n(2000)
-    clean = run_kg_pipeline(corpus, out_clean, resume=False)
-
-    # start a subprocess run and kill it mid-flight
+def _kill_at(tmp_path, out_dir: str, kill_point: str):
+    """Run the job in a child process and SIGKILL its process group once
+    the job has reached ``kill_point``."""
     script = str(tmp_path / "run.py")
     with open(script, "w") as fh:
         fh.write(_RUN_SCRIPT)
+    marker = str(tmp_path / "at_kill_point")
+    log_path = str(tmp_path / "run.log")
     # its own process group, so the kill reaches the run's Ray processes
     # too, not only the script process; started in this checkout, as Ray
     # workers import from the driver's cwd first
-    proc = subprocess.Popen([sys.executable, script, REPO_ROOT, out_killed],
-                            cwd=REPO_ROOT, stdout=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    # wait for pipeline start, then give it a moment and kill hard
-    start = time.time()
-    while time.time() - start < 60:
-        line = proc.stdout.readline()
-        if "START" in line:
-            break
-    time.sleep(4.0)
-    # (if the run finished before the kill, that is still fine)
-    os.killpg(proc.pid, signal.SIGKILL)
-    proc.wait()
-    _wait_group_gone(proc.pid)
+    with open(log_path, "w") as log:
+        proc = subprocess.Popen(
+            [sys.executable, script, REPO_ROOT, out_dir, kill_point, marker],
+            cwd=REPO_ROOT, stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 180
+        while not os.path.exists(marker):
+            if proc.poll() is not None or time.monotonic() > deadline:
+                with open(log_path) as fh:
+                    pytest.fail(f"run never reached {kill_point}:\n"
+                                + fh.read()[-2000:])
+            time.sleep(0.05)
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        _wait_group_gone(proc.pid)
 
-    # resume (in the test's Ray session)
-    resumed = run_kg_pipeline(corpus, out_killed, resume=True)
+
+@pytest.fixture(scope="module")
+def clean_run(ray_session, tmp_path_factory):
+    """A clean run of the job (in the test's Ray session): its summary
+    and output dir."""
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    from jsonld_js_ray.sources.repo_files import repo_files_path_n
+    out = str(tmp_path_factory.mktemp("clean"))
+    return run_kg_pipeline(repo_files_path_n(2000), out, resume=False), out
+
+
+@pytest.mark.parametrize("kill_point", ["mid_stream", "entries_written"])
+def test_kill_and_resume_matches_clean_run(tmp_path, clean_run, kill_point):
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    from jsonld_js_ray.sources.repo_files import repo_files_path_n
+    clean, out_clean = clean_run
+    out_killed = str(tmp_path / "killed")
+    _kill_at(tmp_path, out_killed, kill_point)
+
+    # killed before the commit: no job.json, and at the second point the
+    # entries of a finished stream are on disk
+    job = os.path.join(checkpoint.manifest_dir(out_killed), "job.json")
+    assert not os.path.exists(job)
+    if kill_point == "entries_written":
+        assert len(checkpoint.read_entries(out_killed)) >= 1
+
+    # resume (in the test's Ray session): nothing was committed, so the
+    # whole job is recomputed
+    resumed = run_kg_pipeline(repo_files_path_n(2000), out_killed,
+                              resume=True)
+    assert resumed["n_quads"] == clean["n_quads"]
 
     t_clean = pads.dataset(out_clean + "/quads",
                            partitioning="hive").to_table()
@@ -96,7 +157,6 @@ def test_kill_and_resume_matches_clean_run(tmp_path):
     pd.testing.assert_frame_equal(a, b)
 
     # manifest complete for every partition present
-    from jsonld_js_ray.state import checkpoint
     entries = {e["partition_id"]: e for e in
                checkpoint.read_entries(out_killed)}
     present = {int(name.split("=", 1)[1])
