@@ -62,8 +62,8 @@ def _kg_quads(sf_dir: str):
     """The flagship job's deduped quads: ``run_kg_pipeline`` into a fresh
     dir under ``_TMP_ROOT``, read back as ``QUAD_SCHEMA`` rows
     (``partition_id`` comes back from the hive path, so it is cast to
-    int32 again). A job with no quads writes no ``quads/`` dir, so it
-    gives an empty ``QUAD_SCHEMA`` Dataset."""
+    int32 again). A job with no quads writes no partition, so it gives
+    an empty ``QUAD_SCHEMA`` Dataset."""
     import ray
     from jsonld_js_ray.pipelines.kg import (
         repo_files_for_sf_dir, run_kg_pipeline)
@@ -580,8 +580,9 @@ def _media_audio_chunks(sf_dir: str):
 
 def entry() -> Any:
     """Flagship pipeline on the sf0.001 testdata: repo files → extract
-    → expand+toRDF → partial dedup → writer-pool sink (one fused task
-    operator plus the writer actors) → the written quads as a Dataset."""
+    → expand+toRDF → partial dedup → spill per exchange group (one fused
+    task operator) → one reduce task per group writes the partitions →
+    the written quads as a Dataset."""
     return _kg_quads("/root/testdata/sf0.001")
 
 

@@ -60,10 +60,6 @@ def is_scalar(v) -> bool:
         isinstance(v, (int, float)) and not isinstance(v, bool))
 
 
-def is_string(v) -> bool:
-    return isinstance(v, str)
-
-
 def is_bool(v) -> bool:
     return isinstance(v, bool)
 
@@ -92,21 +88,9 @@ def is_double(v) -> bool:
     return "." in es6_number_str(v) or abs(v) >= 1e21
 
 
-def is_integer_num(v) -> bool:
-    return is_number(v) and not is_double(v)
-
-
-def is_empty_object(v) -> bool:
-    return isinstance(v, dict) and len(v) == 0
-
-
 def is_list(v) -> bool:
     """List object: has @list (cf. graphTypes.js:64)."""
     return isinstance(v, dict) and "@list" in v
-
-
-def is_set(v) -> bool:
-    return isinstance(v, dict) and "@set" in v
 
 
 def is_value(v) -> bool:
@@ -125,28 +109,8 @@ def is_simple_graph(v) -> bool:
     return is_graph(v) and "@id" not in v
 
 
-def is_subject(v) -> bool:
-    """Node object (cf. graphTypes.js:18-29)."""
-    if not isinstance(v, dict):
-        return False
-    if "@value" in v or "@set" in v or "@list" in v:
-        return False
-    return len(v) > 1 or "@id" not in v
-
-
 def is_subject_reference(v) -> bool:
     return isinstance(v, dict) and len(v) == 1 and "@id" in v
-
-
-def is_blank_node(v) -> bool:
-    """Blank node (cf. graphTypes.js:106-120)."""
-    if not isinstance(v, dict):
-        return False
-    if "@id" in v:
-        return isinstance(v["@id"], str) and v["@id"].startswith("_:")
-    if len(v) == 0:
-        return True
-    return not ("@value" in v or "@set" in v or "@list" in v)
 
 
 def is_absolute_iri(v) -> bool:
@@ -159,7 +123,3 @@ def is_absolute_iri(v) -> bool:
 # scheme per RFC 3986 + non-space remainder; matches the reference's pragmatic
 # regex (lib/url.js isAbsolute)
 ABS_IRI_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+\-.]*|_):[^\s]*$")
-
-
-def is_relative_iri(v) -> bool:
-    return isinstance(v, str) and not is_keyword(v) and not is_absolute_iri(v)

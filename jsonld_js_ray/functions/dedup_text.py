@@ -153,21 +153,6 @@ class MinHasher:
         })
 
 
-def _bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """Star edges to the bucket minimum.
-
-    Sufficient for CONNECTED COMPONENTS (every bucket member joins the
-    min's component) while capping giant buckets at O(n) edges — but NOT
-    a complete candidate-pair list: (b, c) sharing a bucket is absent
-    when a < b < c. Use ``_bucket_all_pairs`` for the verify path."""
-    ids = np.sort(group["doc_id"].unique())
-    if len(ids) < 2:
-        return pd.DataFrame({"a": [], "b": []}, dtype="int64")
-    lo = ids[0]
-    return pd.DataFrame({"a": np.full(len(ids) - 1, lo, dtype="int64"),
-                         "b": ids[1:].astype("int64")})
-
-
 def _bucket_all_pairs(group: pd.DataFrame, cap: int = 64) -> pd.DataFrame:
     """All within-bucket pairs (a < b), capped.
 

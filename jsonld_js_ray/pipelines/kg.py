@@ -3,11 +3,12 @@
 read_parquet(repo files) → ONE map task per read block: in slices of
 ``batch_size`` rows, extract/sha256 → expand+toRDF (``expand_batch``: a
 per-worker stage cached on the broadcast context snapshot) →
-per-partition partial dedup → quad hash → route, one send per writer
-actor → writer actors dedup per partition and write partitioned (subj,
-pred, obj) Parquet → per-partition manifest entries, then ``job.json``,
-which commits the job. A rerun over the same input returns the committed
-summary; any other run recomputes the whole job (state/checkpoint.py).
+per-partition partial dedup → route: one spill file per exchange group
+present → one reduce task per group keeps the least copy of each
+(partition, quad) and writes partitioned (subj, pred, obj) Parquet →
+per-partition manifest entries, then ``job.json``, which commits the
+job. A rerun over the same input returns the committed summary; any
+other run recomputes the whole job (state/checkpoint.py).
 
 The read asks for ``max(files, CPUs)`` blocks. With at least as many
 files as CPUs that is one block per file, and Ray fuses the read and the
@@ -19,9 +20,9 @@ plan: the map puts no cap on its tasks, since any cap keeps the read,
 which has none, from fusing. The map takes whole blocks and slices them
 itself: a Ray ``batch_size`` would keep the read from fusing too. The
 KG queries and the flagship job all map through ``map_docs``, each with
-its own projection of the kernel pass. The only actors are the writers,
-and they live for the Ray session: a job checks out an idle set and
-returns it at the end (stages/partition_sink.py).
+its own projection of the kernel pass. The KG path starts no actors:
+the exchange is files written by the map tasks and read by the reduce
+tasks (stages/partition_sink.py).
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -29,6 +30,7 @@ Every stage streams: nothing materializes the full dataset on the driver.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import shutil
 import time
@@ -38,7 +40,7 @@ import pyarrow as pa
 
 from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
-from ..stages.dedup import add_quad_hash, partial_dedup_batch
+from ..stages.dedup import partial_dedup_batch
 from ..stages.expand_quads import expand_batch
 from ..stages.extract import DEFAULT_PARTITIONS, extract_batch
 from ..stages.partition_sink import WriterPool, make_router
@@ -58,6 +60,23 @@ def read_repo_files(input_path: str):
         override_num_blocks=max(n_files, cluster_cpus()))
 
 
+# Input bytes per exchange group, so one group's reduce stays under
+# ~512 MiB as the input grows: at sf0.1 a reduce's peak RSS grew by up to
+# 59 bytes per input byte of its group (72.9 MB for the 1.24 MB of input
+# in the largest of 4 groups; 64 is used here).
+GROUP_INPUT_BYTES = 8 << 20
+
+
+def exchange_groups(input_path: str) -> int:
+    """The exchange's group count G: one per CPU, or one per
+    ``GROUP_INPUT_BYTES`` of input when that is more, and at most one per
+    partition."""
+    input_bytes = sum(os.path.getsize(path) for _, path in
+                      checkpoint.input_files(input_path))
+    return min(DEFAULT_PARTITIONS, max(
+        cluster_cpus(), math.ceil(input_bytes / GROUP_INPUT_BYTES)))
+
+
 def _pieces(block: pa.Table, batch_size: int) -> Iterator[pa.Table]:
     """``block`` as zero-copy slices of at most ``batch_size`` rows."""
     for lo in range(0, block.num_rows, batch_size):
@@ -73,10 +92,9 @@ def docs_task(block: pa.Table, task, snapshot_ref,
 
 
 def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
-    """``run_kg_pipeline``'s projection: expand → partial dedup → quad
-    hash → ``route``."""
-    return route(add_quad_hash(partial_dedup_batch(
-        expand_batch(batch, snapshot_ref))))
+    """``run_kg_pipeline``'s projection: expand → partial dedup →
+    ``route``."""
+    return route(partial_dedup_batch(expand_batch(batch, snapshot_ref)))
 
 
 def map_docs(ds, task, batch_size: int = 1024):
@@ -117,19 +135,20 @@ def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
         return committed
     data_dir = os.path.join(out_dir, "quads")
     # the commit record goes first: a kill during clean-up must not leave
-    # a job.json over partial output
+    # a job.json over partial output. Removing the data dir also removes
+    # the spills of a killed job.
     shutil.rmtree(checkpoint.manifest_dir(out_dir), ignore_errors=True)
     shutil.rmtree(data_dir, ignore_errors=True)
 
-    # streaming hash exchange into writer actors: no all-to-all barrier
-    # (see stages/partition_sink.py)
-    num_writers = max(2, min(16, cluster_cpus() // 4))
-    pool = WriterPool(data_dir, num_writers)
+    # one-level file exchange: no all-to-all barrier, no actors (see
+    # stages/partition_sink.py)
+    num_groups = exchange_groups(input_path)
+    pool = WriterPool(data_dir, num_groups)
     try:
         routed = map_docs(
             read_repo_files(input_path),
             functools.partial(_route_quads,
-                              route=make_router(pool.handles(), num_writers)),
+                              route=make_router(pool.handles(), num_groups)),
             batch_size=batch_size)
         t0 = time.time()
         routed.count()  # drive the stream to completion
@@ -138,8 +157,7 @@ def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
         merged = pool.finalize()
         finalize_sec = time.time() - t0
     finally:
-        # returns the writers to the session, or kills them if the job
-        # failed before finalize
+        # removes the spills a failed job leaves
         pool.shutdown()
 
     for part, e in merged.items():

@@ -1,20 +1,18 @@
-"""Quad-level exact dedup: the winner rule and the quad hash.
+"""Quad-level exact dedup: the winner rule, and the quad hash.
 
 The KG pipeline dedups in two places (SURVEY.md §2.7/§7.3), and both
-call ``keep_least``, the one implementation of the winner rule:
+apply ``least_indices``, the one implementation of the winner rule:
   1. partial dedup inside each batch — vectorized, removes the bulk of
      duplicates before any data moves (map-side combiner,
      ``partial_dedup_batch``);
-  2. each partition writer's flush window, after the one-level hash
-     exchange to the writer actors (stages/partition_sink.py), which
-     also keys its cross-window seen-set on ``add_quad_hash``'s 128-bit
-     pair.
+  2. the reduce task of each exchange group, over all of the group's
+     spills at once (stages/partition_sink.py).
 
 ``WINNER_ORDER`` is a total order on the rows of one quad: copies of one
 file at different commits or forks tie on ``(content_sha256, path)``, and
-``repo`` and ``commit`` break the tie, so the winner's lineage depends on
-neither batch size nor arrival order (within one writer flush window; see
-stages/partition_sink.py).
+``repo`` and ``commit`` break the tie. The reduce sees every copy of a
+(partition, quad), so the winner's lineage depends on neither batch
+size, arrival order nor job size.
 """
 
 from __future__ import annotations
@@ -61,17 +59,14 @@ def partial_dedup_batch(batch: pa.Table) -> pa.Table:
 
 
 def add_quad_hash(batch: pa.Table, _unused=None) -> pa.Table:
-    """Vectorized hash of the quad tuple. Hashes column-by-column and
-    mixes — 2.6x faster than materializing a concatenated key string per
-    row.
+    """Vectorized hash of the quad tuple: two independent 64-bit mixes,
+    ``quad_hash`` and ``quad_hash2``. Hashes column-by-column and mixes —
+    2.6x faster than materializing a concatenated key string per row.
 
-    Emits TWO independent 64-bit mixes (``quad_hash``, ``quad_hash2``)
-    so hash-keyed dedup state (the streaming sink's cross-flush seen
-    set) can key on the 128-bit pair: 64-bit birthday collisions are
-    ~50% at ~5e9 quads — real at design scale — while 128 bits are
-    negligible past 10^15."""
-    # ``_unused``: the retired shuffle-bucket count, which
-    # kgbench/tracing.py still passes (None) positionally
+    The KG pipeline does not call it: only kgbench/tracing.py's replay
+    does, as ``add_quad_hash(t, None)``, and the router drops both
+    columns. ``_unused`` is the retired shuffle-bucket count that call
+    still passes."""
     df = batch.select(QUAD_COLS).to_pandas()
     acc = np.zeros(len(df), dtype=np.uint64)
     acc2 = np.full(len(df), 0x6A09E667F3BCC908, dtype=np.uint64)

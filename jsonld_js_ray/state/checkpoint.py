@@ -2,12 +2,12 @@
 
 Ray task retries cover task-level failure; this manifest covers job-level
 restart (SURVEY.md §4.3.5). The job is the unit of commit: its output is
-complete only when every writer's ``finalize()`` has returned, and a lost
-writer makes ``finalize()`` raise. Then each partition gets a JSON entry
-with its counts, and ``job.json``, written last and atomically with the
-input fingerprint, commits the job. A rerun over an unchanged input finds
-it and has nothing to do; any other run deletes the manifest and the
-output and recomputes the whole job."""
+complete only when every exchange group's reduce task has returned, and
+a failed reduce makes ``finalize()`` raise. Then each partition gets a
+JSON entry with its counts, and ``job.json``, written last and
+atomically with the input fingerprint, commits the job. A rerun over an
+unchanged input finds it and has nothing to do; any other run deletes
+the manifest and the output and recomputes the whole job."""
 
 from __future__ import annotations
 

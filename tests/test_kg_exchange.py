@@ -1,6 +1,7 @@
-"""The KG pipeline's exchange: per-partition map-side dedup, one send per
-writer actor, the per-worker expand-stage cache, session-lived writers,
-and the fused task path on a small Ray session."""
+"""The KG pipeline's exchange: per-partition map-side dedup, one spill
+per group and slice, the exact per-group reduce, the per-worker
+expand-stage cache, jobs that leave no actor, and the fused task path on
+a small Ray session."""
 
 import json
 import os
@@ -24,11 +25,11 @@ from jsonld_js_ray.stages.dedup import (QUAD_COLS, WINNER_ORDER,
                                         add_quad_hash, keep_least,
                                         partial_dedup_batch)
 from jsonld_js_ray.stages.extract import extract_batch
+from jsonld_js_ray.stages.partition_sink import (SPILL_SUFFIX, WriterPool,
+                                                 make_router)
 from jsonld_js_ray.state import checkpoint
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# run_kg_pipeline's writer-pool size on the 4-CPU test session
-NUM_WRITERS = 2
 SHARED_DOC = json.dumps({
     "@context": {"@vocab": "http://schema.org/"},
     "@id": "https://shared.example/thing", "name": "shared",
@@ -175,22 +176,10 @@ def test_expand_batch_cache_hits_across_tasks(ray_session):
     assert out["pid"].nunique() < len(out)
 
 
-class _RecordingWriter:
-    """Stands in for an actor handle: records each ``add``."""
-
-    def __init__(self, calls):
-        self.calls = calls
-        self.add = self
-
-    def remote(self, table):
-        import ray
-        self.calls.append(table)
-        return ray.put(table.num_rows)
-
-
 def _hashed_quads(n_files=200):
-    """Quads of ``n_files`` repo files, each twice (so the writers' dedup
-    has work to do), spread over many partitions by document."""
+    """Quads of ``n_files`` repo files, each twice (so the reduce's dedup
+    has work to do), spread over many partitions by document, with the
+    quad hash columns kgbench's replay routes."""
     quads = eq.ExpandToQuads()(extract_batch(generate_repo_files(n_files)))
     pids = [int(sha[:8], 16) % 64
             for sha in quads.column("content_sha256").to_pylist()]
@@ -199,23 +188,42 @@ def _hashed_quads(n_files=200):
     return add_quad_hash(pa.concat_tables([quads, quads]), None)
 
 
-def test_router_sends_once_per_writer(ray_session):
-    from jsonld_js_ray.stages.partition_sink import make_router
+def _spills(group_dir) -> list:
+    return sorted(n for n in os.listdir(group_dir)
+                  if n.endswith(SPILL_SUFFIX))
+
+
+def _read_spill(path) -> pa.Table:
+    return pa.ipc.open_file(pa.memory_map(str(path))).read_all()
+
+
+def test_router_sends_once_per_writer(tmp_path):
+    # one slice writes one spill into each group (the writer of the
+    # kept ``WriterPool``/``make_router`` names) that has rows, holding
+    # only that group's partitions and only the output columns
     batch = _hashed_quads()
     num_writers = 4
     pids = set(batch.column("partition_id").to_pylist())
     assert len(pids) > 2 * num_writers
-    calls = {w: [] for w in range(num_writers)}
-    route = make_router([_RecordingWriter(calls[w])
-                         for w in range(num_writers)], num_writers)
+    handles = [tmp_path / f"g={g}" for g in range(num_writers)]
+    for group_dir in handles:
+        group_dir.mkdir()
+    route = make_router([str(h) for h in handles], num_writers)
     out = route(batch)
     assert out.column("rows_routed").to_pylist() == [batch.num_rows]
-    for w, sent in calls.items():
-        assert len(sent) == 1
-        got = set(sent[0].column("partition_id").to_pylist())
-        assert got == {p for p in pids if p % num_writers == w}
-    assert sum(t.num_rows for t in sum(calls.values(), [])) \
-        == batch.num_rows
+    rows = 0
+    for g, group_dir in enumerate(handles):
+        names = os.listdir(group_dir)
+        assert len(names) == 1 and names == _spills(group_dir)
+        spill = _read_spill(group_dir / names[0])
+        assert spill.schema == eq.QUAD_SCHEMA
+        got = set(spill.column("partition_id").to_pylist())
+        assert got == {p for p in pids if p % num_writers == g}
+        rows += spill.num_rows
+    assert rows == batch.num_rows
+    # an empty slice writes nothing
+    route(batch.slice(0, 0))
+    assert all(len(os.listdir(h)) == 1 for h in handles)
 
 
 def test_writer_pool_matches_per_partition_routing(ray_session, tmp_path):
@@ -280,24 +288,24 @@ def _written_pairs(out: str) -> Counter:
                   .to_table())
 
 
-def _live_writers(settled=lambda ids: True, timeout: float = 10.0) -> set:
-    """IDs of the session's PartitionWriter actors that are not dead,
-    polled until ``settled(ids)`` holds or ``timeout`` passes: a killed
-    actor takes a moment to show as dead. (``ray.util.state`` needs the
-    dashboard, which the test sessions do not start.)"""
+def _live_actors(settled=lambda ids: True, timeout: float = 10.0) -> set:
+    """IDs of the session's actors that are not dead, polled until
+    ``settled(ids)`` holds or ``timeout`` passes: an actor takes a moment
+    to show as dead. (``ray.util.state`` needs the dashboard, which the
+    test sessions do not start.)"""
     import ray
     deadline = time.monotonic() + timeout
     while True:
         ids = {a["ActorID"] for a in ray._private.state.actors().values()
-               if a["ActorClassName"].endswith("PartitionWriter")
-               and a["State"] != "DEAD"}
+               if a["State"] != "DEAD"}
         if settled(ids) or time.monotonic() > deadline:
             return ids
         time.sleep(0.1)
 
 
-def _corpus(tmp_path, table: pa.Table, n_files: int = 1) -> str:
-    corpus = tmp_path / "corpus"
+def _corpus(tmp_path, table: pa.Table, n_files: int = 1,
+            name: str = "corpus") -> str:
+    corpus = tmp_path / name
     corpus.mkdir()
     step = -(-table.num_rows // n_files)
     for i in range(n_files):
@@ -306,57 +314,94 @@ def _corpus(tmp_path, table: pa.Table, n_files: int = 1) -> str:
     return str(corpus)
 
 
-def test_writer_seen_set_drops_duplicates_across_flushes(ray_session,
-                                                         tmp_path):
-    # _hashed_quads holds every quad twice, half the table apart: in
-    # 40-row sends to one writer that flushes every 50 rows, the copies
-    # of a quad land in different flush windows, so only the writer's
-    # cross-flush seen-set can drop the second copy
-    import ray
-    from jsonld_js_ray.stages.partition_sink import WriterPool
-    batch = _hashed_quads(50)
-    expected = Counter(set(_pairs(batch)))
-    results = {}
-    for flush_rows in (50, 1_000_000):
-        out = str(tmp_path / f"flush{flush_rows}")
-        pool = WriterPool(out + "/quads", 1, dedup=True,
-                          flush_rows=flush_rows)
-        writer = pool.handles()[0]
-        for i in range(0, batch.num_rows, 40):
-            ray.get(writer.add.remote(batch.slice(i, 40)))
-        counts = {pid: e["n_quads"] for pid, e in pool.finalize().items()}
-        # a one-writer set is of no use to the other tests' jobs
-        ray.kill(writer)
-        results[flush_rows] = (counts, _written_pairs(out))
-    _live_writers(lambda ids: len(ids) <= NUM_WRITERS)
-    assert results[50] == results[1_000_000]
-    counts, pairs = results[50]
-    assert pairs == expected
-    assert counts == Counter(pid for pid, *_ in expected.elements())
+def _job_committed(out: str) -> bool:
+    return os.path.exists(os.path.join(checkpoint.manifest_dir(out),
+                                       "job.json"))
 
 
-def test_failed_background_flush_fails_the_job(ray_session, tmp_path):
-    # the first send fills a flush window, so a background thread
-    # flushes it; a regular file where its partition's directory goes
-    # makes that flush fail, and finalize must report it, not return the
-    # later windows' counts as if the job were whole
-    import ray
-    from jsonld_js_ray.stages.partition_sink import WriterPool
-    batch = _hashed_quads(50)
-    pid = batch.column("partition_id")[0]
-    first = batch.filter(pc.equal(batch["partition_id"], pid))
-    rest = batch.filter(pc.not_equal(batch["partition_id"], pid))
+def _quad_row(pid, subject, sha, repo, commit="c0") -> dict:
+    return {"subject": subject, "predicate": "p", "object_kind": 0,
+            "object_value": "o", "datatype": None, "language": None,
+            "graph": None, "repo": repo, "path": "a.jsonld",
+            "commit": commit, "content_sha256": sha, "partition_id": pid}
+
+
+def test_reduce_keeps_the_least_copy_across_spills(ray_session, tmp_path):
+    # one group, three spills: a quad's lesser copy (on WINNER_ORDER)
+    # arrives in the last spill, and the first spill is there twice, as
+    # a retried map task leaves it
+    first = [_quad_row(0, "q1", "sha-b", "r1"),
+             _quad_row(1, "q1", "sha-b", "r1"),
+             _quad_row(1, "q3", "sha-c", "r2")]
+    second = [_quad_row(0, "q2", "sha-b", "r1"),
+              _quad_row(0, "q4", "sha-a", "r3")]
+    last = [_quad_row(0, "q1", "sha-a", "r9"),
+            _quad_row(1, "q3", "sha-c", "r1", commit="c9")]
     out = tmp_path / "quads"
-    out.mkdir()
-    (out / f"partition_id={pid.as_py()}").write_text("")
-    pool = WriterPool(str(out), 1, dedup=True, flush_rows=first.num_rows)
-    writer = pool.handles()[0]
-    ray.get(writer.add.remote(first))
-    ray.get(writer.add.remote(rest.slice(0, first.num_rows - 1)))
+    pool = WriterPool(str(out), 1)
+    route = make_router(pool.handles(), 1)
+    for rows in (first, second, last):
+        route(pa.Table.from_pylist(rows, schema=eq.QUAD_SCHEMA))
+    group_dir = pool.handles()[0]
+    spills = _spills(group_dir)
+    assert len(spills) == 3
+    retried = next(n for n in spills if _read_spill(
+        os.path.join(group_dir, n)).num_rows == len(first))
+    with open(os.path.join(group_dir, retried), "rb") as src, \
+            open(os.path.join(group_dir, "retry" + SPILL_SUFFIX), "wb") as dst:
+        dst.write(src.read())
+
+    stats = pool.finalize()
+    pool.shutdown()
+    assert not os.path.exists(out / "_spill")
+    written = pads.dataset(str(out), partitioning="hive").to_table()
+    cols = ["partition_id", "subject", "content_sha256", "repo", "commit"]
+    rows = list(zip(*[written.column(c).to_pylist() for c in cols]))
+    assert sorted(rows) == [(0, "q1", "sha-a", "r9", "c0"),
+                            (0, "q2", "sha-b", "r1", "c0"),
+                            (0, "q4", "sha-a", "r3", "c0"),
+                            (1, "q1", "sha-b", "r1", "c0"),
+                            (1, "q3", "sha-c", "r1", "c9")]
+    # n_docs counts the distinct shas of the winners
+    assert stats == {0: {"n_quads": 3, "n_docs": 2},
+                     1: {"n_quads": 2, "n_docs": 2}}
+    for pid in (0, 1):
+        assert os.listdir(out / f"partition_id={pid}") == ["part-0.parquet"]
+
+
+def test_failed_reduce_fails_the_job(ray_session, tmp_path, monkeypatch):
+    # a regular file where a partition's directory goes makes that
+    # partition's reduce fail: finalize must raise, not return the other
+    # groups' counts as if the job were whole, and the job must not commit
+    import ray
+    from jsonld_js_ray.pipelines import kg
+    batch = _hashed_quads(50)
+    pid = batch.column("partition_id")[0].as_py()
+    out = tmp_path / "quads"
+    pool = WriterPool(str(out), 2)
+    make_router(pool.handles(), 2)(batch)
+    (out / f"partition_id={pid}").write_text("")
     with pytest.raises(ray.exceptions.RayTaskError):
         pool.finalize()
     pool.shutdown()
-    _live_writers(lambda ids: len(ids) <= NUM_WRITERS)
+    assert not os.path.exists(out / "_spill")
+
+    table = generate_repo_files(200)
+    job_pid = min(p for p, *_ in _oracle_pairs(table))
+
+    class PlantedPool(WriterPool):
+        # plants the file after run_kg_pipeline has cleared the data dir
+        def __init__(self, out_dir, num_writers):
+            super().__init__(out_dir, num_writers)
+            open(os.path.join(out_dir, f"partition_id={job_pid}"),
+                 "w").close()
+
+    monkeypatch.setattr(kg, "WriterPool", PlantedPool)
+    job_out = str(tmp_path / "job")
+    with pytest.raises(ray.exceptions.RayTaskError):
+        kg.run_kg_pipeline(_corpus(tmp_path, table), job_out, resume=False)
+    assert not _job_committed(job_out)
+    assert not os.path.exists(os.path.join(job_out, "quads", "_spill"))
 
 
 def _lineage_forks_table() -> pa.Table:
@@ -423,7 +468,23 @@ def test_written_lineage_is_the_least_copy_at_any_batch_size(ray_session,
     assert written[1024] == expected
 
 
-def test_second_job_reuses_and_resets_the_writers(ray_session, tmp_path):
+def test_exchange_groups_grow_with_input_bytes(tmp_path, monkeypatch):
+    from jsonld_js_ray.pipelines import kg
+    corpus = _corpus(tmp_path, generate_repo_files(200), n_files=2)
+    size = sum(os.path.getsize(p)
+               for _, p in checkpoint.input_files(corpus))
+    monkeypatch.setattr(kg, "cluster_cpus", lambda: 4)
+    # a small input: one group per CPU
+    assert kg.exchange_groups(corpus) == 4
+    # past CPUs x GROUP_INPUT_BYTES: one group per GROUP_INPUT_BYTES
+    monkeypatch.setattr(kg, "GROUP_INPUT_BYTES", size // 10)
+    assert kg.exchange_groups(corpus) == -(-size // (size // 10)) > 4
+    # never more groups than partitions
+    monkeypatch.setattr(kg, "GROUP_INPUT_BYTES", 1)
+    assert kg.exchange_groups(corpus) == kg.DEFAULT_PARTITIONS
+
+
+def test_two_jobs_match_and_leave_no_actor(ray_session, tmp_path):
     from jsonld_js_ray.pipelines.kg import run_kg_pipeline
     table = generate_repo_files(300)
     corpus = _corpus(tmp_path, table)
@@ -432,61 +493,66 @@ def test_second_job_reuses_and_resets_the_writers(ray_session, tmp_path):
     for i in range(2):
         out = str(tmp_path / f"out{i}")
         summary = run_kg_pipeline(corpus, out, resume=False)
-        writers = _live_writers(lambda ids: len(ids) == NUM_WRITERS)
+        actors = _live_actors(lambda ids: not jobs or ids <= jobs[0][2])
         counts = {e["partition_id"]: (e["n_quads"], e["n_docs"])
                   for e in checkpoint.read_entries(out)}
-        jobs.append((summary["n_quads"], counts, writers))
+        jobs.append((summary["n_quads"], counts, actors))
         assert _written_pairs(out) == expected
+        assert not os.path.exists(os.path.join(out, "quads", "_spill"))
     assert jobs[0][0] > 0
     assert jobs[1][:2] == jobs[0][:2]
-    assert len(jobs[0][2]) == NUM_WRITERS
-    assert jobs[1][2] == jobs[0][2]
+    # the second job started no actor that outlived it (an actor an
+    # earlier test left may still be on its way out, hence no equality)
+    assert jobs[1][2] <= jobs[0][2]
 
 
-def test_lost_idle_writer_is_replaced(ray_session, tmp_path):
+def test_failed_job_leaves_nothing_for_the_next_job(ray_session, tmp_path,
+                                                    monkeypatch):
     import ray
-    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
-    from jsonld_js_ray.stages.partition_sink import WriterPool
-    table = generate_repo_files(200)
-    corpus = _corpus(tmp_path, table)
-    run_kg_pipeline(corpus, str(tmp_path / "out0"), resume=False)
-    old = _live_writers(lambda ids: len(ids) == NUM_WRITERS)
-    # check the idle set out and back in, to get a handle to kill
-    pool = WriterPool(str(tmp_path / "probe"), NUM_WRITERS)
-    lost = pool.handles()[0]
-    pool.finalize()
-    pool.shutdown()
-    ray.kill(lost)
-    out = str(tmp_path / "out1")
-    run_kg_pipeline(corpus, out, resume=False)
-    assert _written_pairs(out) == _oracle_pairs(table)
-    new = _live_writers(lambda ids: len(ids) == NUM_WRITERS)
-    assert len(new) == NUM_WRITERS and not new & old
-
-
-def test_failed_job_kills_its_writers(ray_session, tmp_path):
-    import ray
-    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    from jsonld_js_ray.pipelines import kg
     table = generate_repo_files(300)
-    corpus = _corpus(tmp_path, table, n_files=3)
+    other = generate_repo_files(200, seed=11)
+    good = _corpus(tmp_path, other, name="good")
+    out = str(tmp_path / "out")
+    kg.run_kg_pipeline(good, out, resume=False)
+    before = _live_actors()
+
     # break the first page header of the middle file: its footer still
     # reads, so the job starts (and plans and samples the other files)
     # and fails in its read task
+    corpus = _corpus(tmp_path, table, n_files=3)
     bad = os.path.join(corpus, "part-1.parquet")
     with open(bad, "r+b") as fh:
         fh.seek(4)
         fh.write(b"\xff" * 64)
-    before = _live_writers()
     with pytest.raises(ray.exceptions.RayTaskError):
-        run_kg_pipeline(corpus, str(tmp_path / "failed"), resume=False)
-    assert _live_writers(lambda ids: ids <= before) <= before
+        kg.run_kg_pipeline(corpus, out, resume=False)
+    assert not _job_committed(out)
+    assert _live_actors(lambda ids: ids <= before) <= before
+
+    # a job killed between its stream and its reduce leaves its spills
     os.remove(bad)
-    out = str(tmp_path / "out")
-    run_kg_pipeline(corpus, out, resume=False)
-    good = pa.concat_tables([table.slice(0, 100), table.slice(200)])
-    assert _written_pairs(out) == _oracle_pairs(good)
-    assert len(_live_writers(lambda ids: len(ids) == NUM_WRITERS)) \
-        == NUM_WRITERS
+
+    def killed(self):
+        raise RuntimeError("killed before the reduce")
+
+    with monkeypatch.context() as m:
+        m.setattr(kg.WriterPool, "finalize", killed)
+        m.setattr(kg.WriterPool, "shutdown", lambda self: None)
+        with pytest.raises(RuntimeError):
+            kg.run_kg_pipeline(corpus, out, resume=False)
+    spill_root = os.path.join(out, "quads", "_spill")
+    assert any(_spills(os.path.join(spill_root, g))
+               for g in os.listdir(spill_root))
+    assert not _job_committed(out)
+
+    # a job over a different corpus into the same out_dir writes exactly
+    # that corpus's pairs: the killed job's spills never reach it
+    kg.run_kg_pipeline(good, out, resume=False)
+    assert _job_committed(out)
+    assert _written_pairs(out) == _oracle_pairs(other)
+    assert not os.path.exists(spill_root)
+    assert _live_actors(lambda ids: ids <= before) <= before
 
 
 _SMALL_SESSION_SCRIPT = """
@@ -509,8 +575,9 @@ ray.shutdown()
 
 @pytest.mark.parametrize("num_cpus", [1, 2])
 def test_pipeline_finishes_on_few_cpus(tmp_path, num_cpus):
-    # writers that reserved CPU used to leave a small session no slot for
-    # the read or map tasks; the second job runs on the first's writers
+    # every reduce task needs a CPU after the stream, and the map tasks
+    # need one each too: on a 1- or 2-CPU session both phases must still
+    # get their slots, and the second job must give the first's counts
     script = tmp_path / "run.py"
     script.write_text(_SMALL_SESSION_SCRIPT)
     proc = subprocess.Popen(

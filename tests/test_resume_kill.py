@@ -4,9 +4,10 @@ clean run. The killed job never committed, so the resumed run deletes
 its partial output and recomputes the whole job.
 
 The run is killed at a fixed point, set inside the child script, never
-by timing: mid-stream (a map task has routed its first slice to the
-writers and blocks), or after the first manifest entry is written and
-before ``job.json`` commits the job (the driver blocks)."""
+by timing: mid-stream (a map task has spilled its first slice and
+blocks), or after the first manifest entry is written and before
+``job.json`` commits the job (the driver blocks). The spills a killed
+run leaves never reach the resumed output."""
 
 import os
 import signal
@@ -132,18 +133,24 @@ def test_kill_and_resume_matches_clean_run(tmp_path, clean_run, kill_point):
     out_killed = str(tmp_path / "killed")
     _kill_at(tmp_path, out_killed, kill_point)
 
-    # killed before the commit: no job.json, and at the second point the
-    # entries of a finished stream are on disk
+    # killed before the commit: no job.json; at the first point the
+    # spills of the stream so far are on disk, at the second the entries
+    # of a finished stream
     job = os.path.join(checkpoint.manifest_dir(out_killed), "job.json")
     assert not os.path.exists(job)
+    spill_root = os.path.join(out_killed, "quads", "_spill")
     if kill_point == "entries_written":
         assert len(checkpoint.read_entries(out_killed)) >= 1
+    else:
+        assert any(os.listdir(os.path.join(spill_root, g))
+                   for g in os.listdir(spill_root))
 
     # resume (in the test's Ray session): nothing was committed, so the
     # whole job is recomputed
     resumed = run_kg_pipeline(repo_files_path_n(2000), out_killed,
                               resume=True)
     assert resumed["n_quads"] == clean["n_quads"]
+    assert not os.path.exists(spill_root)
 
     t_clean = pads.dataset(out_clean + "/quads",
                            partitioning="hive").to_table()
