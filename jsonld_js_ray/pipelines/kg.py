@@ -1,28 +1,31 @@
 """The flagship KG-construction pipeline (BASELINE.json north_star).
 
-read_parquet(repo files) → ONE map task per read block: in slices of
-``batch_size`` rows, extract/sha256 → expand+toRDF (``expand_batch``: a
-per-worker stage cached on the broadcast context snapshot) →
-per-partition partial dedup → route: one spill file per exchange group
-present → one reduce task per group keeps the least copy of each
-(partition, quad) and writes partitioned (subj, pred, obj) Parquet →
-per-partition manifest entries, then ``job.json``, which commits the
-job. A rerun over the same input returns the committed summary; any
-other run recomputes the whole job (state/checkpoint.py).
+repo files → ONE plain Ray map task per read unit (``read_units``): read
+the unit's rows, then in slices of ``batch_size`` rows extract/sha256 →
+expand+toRDF (``expand_batch``: a per-worker stage cached on the
+broadcast context snapshot) → per-partition partial dedup → route: one
+spill file per exchange group present → one reduce task per group keeps
+the least copy of each (partition, quad) and writes partitioned (subj,
+pred, obj) Parquet → per-partition manifest entries, then ``job.json``,
+which commits the job. A rerun over the same input returns the committed
+summary; any other run recomputes the whole job (state/checkpoint.py).
 
-The read asks for ``max(files, CPUs)`` blocks. With at least as many
-files as CPUs that is one block per file, and Ray fuses the read and the
-map into one task-pool operator, ``ReadParquet->MapBatches(docs_task)``:
-one task per input file, with no block crossing the object store between
-read and map. With fewer files Ray splits the read into one block per
-CPU, and the read runs as its own operator. The input alone picks the
-plan: the map puts no cap on its tasks, since any cap keeps the read,
-which has none, from fusing. The map takes whole blocks and slices them
-itself: a Ray ``batch_size`` would keep the read from fusing too. The
-KG queries and the flagship job all map through ``map_docs``, each with
-its own projection of the kernel pass. The KG path starts no actors:
-the exchange is files written by the map tasks and read by the reduce
-tasks (stages/partition_sink.py).
+A read unit is a whole file when there are at least as many files as
+CPUs; with fewer files each file is cut into ``ceil(CPUs / files)`` row
+ranges, and a unit reads only the row groups its range overlaps. All
+units are submitted at once and run in one wave, then the reduce tasks
+in a second: map and reduce are both plain tasks over files, a one-level
+exchange (stages/partition_sink.py). The map is not a Ray Data operator:
+before a map operator has produced any output, Ray Data 2.49 assumes
+each task will hold 2 x 128 MiB of object store, so under a small store
+it starts one task and holds the rest until the first one ends.
+
+The per-document views (``status_batch``, ``events_batch``,
+``canonical_batch``, ``expand_batch``) stay Datasets: ``map_docs`` over
+``read_repo_files``, which reads one block per read unit. With at least
+as many files as CPUs Ray fuses that read and the map into one task-pool
+operator, ``ReadParquet->MapBatches(docs_task)``. The views and the
+flagship share ``docs_task``. The KG path starts no actors.
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -37,6 +40,8 @@ import time
 from typing import Iterator
 
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 
 from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
@@ -48,16 +53,47 @@ from ..state import checkpoint
 from ..util_ray import cluster_cpus
 
 
+# all five input columns are needed downstream; prune nothing here but
+# keep the explicit list so accidental extra columns never ship
+REPO_COLUMNS = ["repo", "path", "commit", "lang", "content"]
+
+
+def read_units(input_path: str) -> list[tuple[str, int, int]]:
+    """The read units of ``input_path``, ``(path, piece, pieces)``: each
+    file whole (``pieces`` 1) when there are at least as many files as
+    CPUs, else each file cut into ``ceil(CPUs / files)`` row ranges."""
+    paths = [path for _, path in checkpoint.input_files(input_path)]
+    pieces = math.ceil(cluster_cpus() / max(1, len(paths)))
+    return [(path, piece, pieces) for path in paths
+            for piece in range(pieces)]
+
+
+def read_unit(path: str, piece: int, pieces: int) -> pa.Table:
+    """Rows ``[n * piece // pieces, n * (piece + 1) // pieces)`` of the
+    ``n``-row file at ``path``, reading only the row groups they
+    overlap."""
+    with pq.ParquetFile(path) as file:
+        meta = file.metadata
+        lo = meta.num_rows * piece // pieces
+        hi = meta.num_rows * (piece + 1) // pieces
+        groups, skipped, start = [], 0, 0
+        for i in range(meta.num_row_groups):
+            end = start + meta.row_group(i).num_rows
+            if end <= lo:
+                skipped = end
+            elif start < hi:
+                groups.append(i)
+            start = end
+        table = file.read_row_groups(groups, columns=REPO_COLUMNS)
+    return table.slice(lo - skipped, hi - lo)
+
+
 def read_repo_files(input_path: str):
-    """The repo-files Dataset of ``input_path``: one block per file, or
-    one per CPU when there are fewer files than CPUs."""
-    import ray
-    n_files = len(checkpoint.input_files(input_path))
-    # all five input columns are needed downstream; prune nothing here but
-    # keep the explicit list so accidental extra columns never ship
+    """The repo-files Dataset of ``input_path``: one block per read unit
+    (``read_units``)."""
     return ray.data.read_parquet(
-        input_path, columns=["repo", "path", "commit", "lang", "content"],
-        override_num_blocks=max(n_files, cluster_cpus()))
+        input_path, columns=REPO_COLUMNS,
+        override_num_blocks=len(read_units(input_path)))
 
 
 # Input bytes per exchange group, so one group's reduce stays under
@@ -85,8 +121,9 @@ def _pieces(block: pa.Table, batch_size: int) -> Iterator[pa.Table]:
 
 def docs_task(block: pa.Table, task, snapshot_ref,
               batch_size: int) -> Iterator[pa.Table]:
-    """``map_docs``'s map function: extract → ``task`` per slice of
-    ``batch_size`` rows, one output table per slice."""
+    """The map function of ``map_docs`` and of the flagship's map tasks:
+    extract → ``task`` per slice of ``batch_size`` rows, one output table
+    per slice."""
     for piece in _pieces(block, batch_size):
         yield task(extract_batch(piece, DEFAULT_PARTITIONS), snapshot_ref)
 
@@ -97,19 +134,55 @@ def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
     return route(partial_dedup_batch(expand_batch(batch, snapshot_ref)))
 
 
+@ray.remote
+def _map_unit(path: str, piece: int, pieces: int, task, snapshot_ref,
+              batch_size: int, stop: str) -> int:
+    """One map task of ``run_kg_pipeline``: ``docs_task`` over one read
+    unit; returns the rows routed. It ends early, before its read or
+    after a slice, once the file ``stop`` exists. ``snapshot_ref`` comes
+    wrapped in a list, so Ray passes the ref and not the snapshot it
+    names."""
+    routed = 0
+    if os.path.exists(stop):
+        return routed
+    for out in docs_task(read_unit(path, piece, pieces), task,
+                         snapshot_ref[0], batch_size):
+        routed += out.column("rows_routed")[0].as_py()
+        if os.path.exists(stop):
+            break
+    return routed
+
+
+def _map_all(refs: list, stop: str) -> list:
+    """``ray.get(refs)``. If one raises, the file ``stop`` tells the other
+    tasks to end, and all are waited for first, so none is still spilling
+    when the caller cleans up.
+
+    Not ``ray.cancel``: in Ray 2.49, cancelling a task that is being
+    dispatched to a freed worker can fail a check in the driver's task
+    manager and abort the driver process (seen with 6 map tasks on 4
+    CPUs, two of them failing)."""
+    try:
+        return ray.get(refs)
+    except BaseException:
+        open(stop, "w").close()
+        ray.wait(refs, num_returns=len(refs))
+        raise
+
+
 def map_docs(ds, task, batch_size: int = 1024):
     """repo-files Dataset → extract → ``task`` (lazy, streaming): one
     projection of the per-document kernel pass (``expand_batch``,
-    ``status_batch``, ``canonical_batch``, ``events_batch``, or
-    ``run_kg_pipeline``'s ``_route_quads``), with the stage cached per
-    worker on the ``ray.put`` context snapshot.
+    ``status_batch``, ``canonical_batch`` or ``events_batch``), with the
+    stage cached per worker on the ``ray.put`` context snapshot. The
+    per-document views map through it; the flagship job does not (it
+    runs ``docs_task`` in plain tasks, see the module docstring).
 
     One map function, ``docs_task``, runs extract and ``task`` on slices
     of ``batch_size`` rows of each block, so ``batch_size`` is the scope
     of content grouping (one kernel pass per distinct document). Over
-    ``read_repo_files`` it fuses with the read as the module docstring
-    says."""
-    import ray
+    ``read_repo_files`` it fuses with the read when the input has at
+    least as many files as CPUs."""
     return ds.map_batches(
         docs_task, batch_format="pyarrow",
         fn_kwargs={"task": task,
@@ -144,14 +217,16 @@ def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
     # stages/partition_sink.py)
     num_groups = exchange_groups(input_path)
     pool = WriterPool(data_dir, num_groups)
+    # ``_route_quads`` is looked up per call, so the tasks run the one the
+    # driver holds now
+    task = functools.partial(_route_quads,
+                             route=make_router(pool.handles(), num_groups))
+    snapshot = [ray.put(build_context_snapshot())]
+    stop = os.path.join(pool.spill_root, "_stop")
     try:
-        routed = map_docs(
-            read_repo_files(input_path),
-            functools.partial(_route_quads,
-                              route=make_router(pool.handles(), num_groups)),
-            batch_size=batch_size)
         t0 = time.time()
-        routed.count()  # drive the stream to completion
+        _map_all([_map_unit.remote(*unit, task, snapshot, batch_size, stop)
+                  for unit in read_units(input_path)], stop)
         stream_sec = time.time() - t0
         t0 = time.time()
         merged = pool.finalize()

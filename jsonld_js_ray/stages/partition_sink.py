@@ -1,11 +1,12 @@
 """Partitioned sink: a two-phase file exchange, the one KG sink.
 
-Map side: ``make_router`` returns the function that ends the fused map
-task. It splits each slice by group ``g = partition_id % G`` and writes
-each group's rows as one spill file (Arrow IPC) under
-``<data_dir>/_spill/g=<g>/``. A spill is written under a temporary name
-and then renamed, so a killed task attempt leaves no torn spill. Nothing
-is acked: the slice loop never waits on anything but its own writes.
+Map side: ``make_router`` returns the function that ends each map task
+(one plain Ray task per read unit, pipelines/kg.py). It splits each
+slice by group ``g = partition_id % G`` and writes each group's rows as
+one spill file (Arrow IPC) under ``<data_dir>/_spill/g=<g>/``. A spill is
+written under a temporary name and then renamed, so a killed task
+attempt leaves no torn spill. Nothing is acked: the slice loop never
+waits on anything but its own writes.
 
 Reduce side: ``WriterPool.finalize`` runs one plain Ray task per group.
 It reads all of the group's spills and keeps, per (partition, quad), the
@@ -45,8 +46,10 @@ with ``ray.init(num_cpus=4)``, Ray 2.49.2, single runs:
 At this fan-out a one-level exchange through persisted intermediates is
 enough (Hyper Dimension Shuffle, VLDB 2019).
 
-Fault story: a failed reduce makes ``finalize()`` raise, so the job
+Fault story: a failed map or reduce task makes the job raise, so it
 never commits and its rerun recomputes everything (state/checkpoint.py).
+After a failed map task the others are told to stop and waited for
+before ``shutdown`` removes the spills (pipelines/kg.py ``_map_all``).
 """
 
 from __future__ import annotations

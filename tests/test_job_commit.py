@@ -40,17 +40,27 @@ def test_rerun_on_committed_output_returns_its_summary(tmp_path,
     first = kg.run_kg_pipeline(corpus, out)
     job_json = tmp_path / "out" / "_manifest" / "job.json"
     committed = job_json.read_bytes()
-    reads = []
-    read = kg.read_repo_files
-    monkeypatch.setattr(kg, "read_repo_files",
-                        lambda path: reads.append(path) or read(path))
+    launched = []
+    map_unit = kg._map_unit
+
+    class MapUnit:
+        @staticmethod
+        def remote(*args):
+            launched.append(args)
+            return map_unit.remote(*args)
+
+    monkeypatch.setattr(kg, "_map_unit", MapUnit)
     again = kg.run_kg_pipeline(corpus, out)
     assert (again["n_quads"], again["n_partitions"]) \
         == (first["n_quads"], first["n_partitions"])
     assert job_json.read_bytes() == committed
     assert again["resumed_skipped"] \
         == sorted({pid for pid, *_ in _written_pairs(out)})
-    assert reads == [], "a committed rerun started Ray work"
+    assert launched == [], "a committed rerun started Ray work"
+
+    # the hook sees the launches of a job that does run
+    kg.run_kg_pipeline(corpus, out, resume=False)
+    assert len(launched) == len(kg.read_units(corpus))
 
 
 def test_other_corpus_into_committed_output_equals_clean_run(tmp_path):

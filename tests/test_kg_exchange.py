@@ -1,7 +1,7 @@
 """The KG pipeline's exchange: per-partition map-side dedup, one spill
 per group and slice, the exact per-group reduce, the per-worker
-expand-stage cache, jobs that leave no actor, and the fused task path on
-a small Ray session."""
+expand-stage cache, jobs that leave no actor, and the map task path on a
+small Ray session."""
 
 import json
 import os

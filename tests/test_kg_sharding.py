@@ -1,6 +1,6 @@
-"""The KG read's block split and the in-task kernel batch: the output must
-not depend on how the input is sharded into files, an input with at
-least as many files as CPUs must run as one fused read-and-map operator,
+"""The KG read's units and the in-task kernel batch: the output must not
+depend on how the input is sharded into files, an input with at least as
+many files as CPUs must be read one unit (and one view task) per file,
 and the kernel must see at most ``batch_size`` rows at a time."""
 
 import functools
@@ -8,6 +8,7 @@ import re
 
 import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import pytest
 
 from jsonld_js_ray.pipelines import kg
@@ -36,10 +37,11 @@ def _operators(stats: str) -> list:
 
 @pytest.mark.parametrize("batch_size", [64, 1024])
 def test_output_does_not_depend_on_input_sharding(tmp_path, batch_size):
-    # 1 and 3 files: Ray splits the read into one block per CPU, and the
-    # map is its own operator; 8 files: one block per file, fused. The
-    # file count is what sets how many map tasks run, so this is also
-    # the check that output does not depend on parallelism.
+    # 1 and 3 files: each file is cut into row ranges (4 and 6 read
+    # units on 4 CPUs), and the view's map is its own operator; 8 files:
+    # one unit per file, and the view's read and map fuse. The file
+    # count is what sets how many map tasks run, so this is also the
+    # check that output does not depend on parallelism.
     assert 3 < cluster_cpus() <= 8
     # copies across forks and commits, so the winner rule decides rows
     table = _lineage_forks_table()
@@ -64,25 +66,43 @@ def test_output_does_not_depend_on_input_sharding(tmp_path, batch_size):
     assert results[8] == results[1]
 
 
-def test_as_many_files_as_cpus_run_as_one_operator(tmp_path, monkeypatch):
-    import ray
+def test_as_many_files_as_cpus_run_as_one_operator(tmp_path):
     corpus = _sharded(tmp_path, generate_repo_files(200), cluster_cpus())
     ds = kg.map_docs(kg.read_repo_files(corpus), status_batch).materialize()
     assert _operators(ds.stats()) == ["ReadParquet->MapBatches(docs_task)"]
 
-    # the flagship job: drive its Dataset with materialize() instead of
-    # count(), which keeps no stats of the plan it ran
-    driven = []
-    metadata_count = ray.data.Dataset.count
 
-    def count(self):
-        done = self.materialize()
-        driven.append(_operators(done.stats()))
-        return metadata_count(done)
+def test_read_units_are_files_or_one_per_cpu(tmp_path, monkeypatch):
+    table = generate_repo_files(200)
+    corpus = _sharded(tmp_path, table, cluster_cpus())
+    assert kg.read_units(corpus) == [
+        (path, 0, 1) for _, path in checkpoint.input_files(corpus)]
 
-    monkeypatch.setattr(ray.data.Dataset, "count", count)
-    kg.run_kg_pipeline(corpus, str(tmp_path / "out"), resume=False)
-    assert driven == [["ReadParquet->MapBatches(docs_task)"]]
+    # one file with row groups of 30 rows: one row range per CPU, which
+    # together read every row once, in file order, each reading only the
+    # row groups its range overlaps
+    one = tmp_path / "one"
+    one.mkdir()
+    pq.write_table(table, str(one / "part-0.parquet"), row_group_size=30)
+    units = kg.read_units(str(one))
+    assert units == [(str(one / "part-0.parquet"), piece, cluster_cpus())
+                     for piece in range(cluster_cpus())]
+    groups_read = []
+    read_row_groups = pq.ParquetFile.read_row_groups
+
+    def recording_read(self, groups, **kwargs):
+        groups_read.append(list(groups))
+        return read_row_groups(self, groups, **kwargs)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", recording_read)
+    read = [kg.read_unit(*unit) for unit in units]
+    assert pa.concat_tables(read).equals(table.select(kg.REPO_COLUMNS))
+    bounds = [200 * piece // len(units) for piece in range(len(units) + 1)]
+    assert [t.num_rows for t in read] == [
+        hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    assert groups_read == [
+        [g for g in range(7) if g * 30 < hi and (g + 1) * 30 > lo]
+        for lo, hi in zip(bounds, bounds[1:])]
 
 
 def test_one_file_reads_one_block_per_cpu(tmp_path):
