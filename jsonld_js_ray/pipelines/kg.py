@@ -1,24 +1,26 @@
 """The flagship KG-construction pipeline (BASELINE.json north_star).
 
 repo files → ONE plain Ray map task per read unit (``read_units``): read
-the unit's rows, then in slices of ``batch_size`` rows extract/sha256 →
-expand+toRDF (``expand_batch``: a per-worker stage cached on the
-broadcast context snapshot) → per-partition partial dedup → route: one
-spill file per exchange group present → one reduce task per group keeps
-the least copy of each (partition, quad) and writes partitioned (subj,
-pred, obj) Parquet → per-partition manifest entries, then ``job.json``,
-which commits the job. A rerun over the same input returns the committed
-summary; any other run recomputes the whole job (state/checkpoint.py).
+the unit's rows in batches of ``batch_size`` rows, then per batch
+extract/sha256 → expand+toRDF (``expand_batch``: a per-worker stage
+cached on the broadcast context snapshot) → per-partition partial dedup
+→ route: one spill file per exchange group present → one reduce task per
+group keeps the least copy of each (partition, quad) and writes
+partitioned (subj, pred, obj) Parquet → per-partition manifest entries,
+then ``job.json``, which commits the job. A rerun over the same input
+returns the committed summary; any other run recomputes the whole job
+(state/checkpoint.py).
 
 A read unit is a whole file when there are at least as many files as
-CPUs; with fewer files each file is cut into ``ceil(CPUs / files)`` row
-ranges, and a unit reads only the row groups its range overlaps. All
-units are submitted at once and run in one wave, then the reduce tasks
-in a second: map and reduce are both plain tasks over files, a one-level
-exchange (stages/partition_sink.py). The map is not a Ray Data operator:
-before a map operator has produced any output, Ray Data 2.49 assumes
-each task will hold 2 x 128 MiB of object store, so under a small store
-it starts one task and holds the rest until the first one ends.
+CPUs; with fewer files the input's rows, in file order, are cut into
+one range per CPU, so each CPU gets one unit of the same size. All units
+are submitted at once, each starting as soon as a CPU is free, and the
+reduce tasks run after them: map and reduce are both plain tasks over
+files, a one-level exchange (stages/partition_sink.py). The map is not
+a Ray Data operator: before a map operator has produced any output, Ray
+Data 2.49 assumes each task will hold 2 x 128 MiB of object store, so
+under a small store it starts one task and holds the rest until the
+first one ends.
 
 The per-document views (``status_batch``, ``events_batch``,
 ``canonical_batch``, ``expand_batch``) stay Datasets: ``map_docs`` over
@@ -33,6 +35,7 @@ Every stage streams: nothing materializes the full dataset on the driver.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import shutil
@@ -58,42 +61,52 @@ from ..util_ray import cluster_cpus
 REPO_COLUMNS = ["repo", "path", "commit", "lang", "content"]
 
 
-def read_units(input_path: str) -> list[tuple[str, int, int]]:
-    """The read units of ``input_path``, ``(path, piece, pieces)``: each
-    file whole (``pieces`` 1) when there are at least as many files as
-    CPUs, else each file cut into ``ceil(CPUs / files)`` row ranges."""
+def read_units(input_path: str) -> list[list[tuple[str, int, int]]]:
+    """The read units of ``input_path``, each a list of ``(path, lo,
+    hi)`` row ranges: each file whole when there are at least as many
+    files as CPUs, else the input's rows, in file order, cut into one
+    range per CPU (a range may span files). No unit is an empty list."""
     paths = [path for _, path in checkpoint.input_files(input_path)]
-    pieces = math.ceil(cluster_cpus() / max(1, len(paths)))
-    return [(path, piece, pieces) for path in paths
-            for piece in range(pieces)]
+    rows = [pq.read_metadata(path).num_rows for path in paths]
+    if len(paths) >= cluster_cpus():
+        return [[(path, 0, n)] for path, n in zip(paths, rows)]
+    starts = list(itertools.accumulate(rows, initial=0))
+    bounds = [starts[-1] * k // cluster_cpus()
+              for k in range(cluster_cpus() + 1)]
+    units = [[(path, max(lo, s) - s, min(hi, s + n) - s)
+              for path, s, n in zip(paths, starts, rows)
+              if max(lo, s) < min(hi, s + n)]
+             for lo, hi in zip(bounds, bounds[1:])]
+    return [unit for unit in units if unit]
 
 
-def read_unit(path: str, piece: int, pieces: int) -> pa.Table:
-    """Rows ``[n * piece // pieces, n * (piece + 1) // pieces)`` of the
-    ``n``-row file at ``path``, reading only the row groups they
-    overlap."""
-    with pq.ParquetFile(path) as file:
-        meta = file.metadata
-        lo = meta.num_rows * piece // pieces
-        hi = meta.num_rows * (piece + 1) // pieces
-        groups, skipped, start = [], 0, 0
-        for i in range(meta.num_row_groups):
-            end = start + meta.row_group(i).num_rows
-            if end <= lo:
-                skipped = end
-            elif start < hi:
-                groups.append(i)
-            start = end
-        table = file.read_row_groups(groups, columns=REPO_COLUMNS)
-    return table.slice(lo - skipped, hi - lo)
+def read_unit(unit: list[tuple[str, int, int]],
+              batch_size: int) -> Iterator[pa.Table]:
+    """The rows of a read unit (``read_units``), in order, as tables of at
+    most ``batch_size`` rows. The files are decoded a batch at a time, so
+    a task never holds a whole file: with one task per CPU running at
+    once (4 CPUs), kgbench kg_forks' ``peak_mem_mb`` was 26.5 MB reading
+    whole files and 23.1 MB reading batches (medians of 5 and 6 runs)."""
+    for path, lo, hi in unit:
+        with pq.ParquetFile(path) as file:
+            start = 0
+            for batch in file.iter_batches(batch_size, columns=REPO_COLUMNS):
+                end = start + batch.num_rows
+                if lo < end:
+                    yield pa.Table.from_batches([batch]).slice(
+                        max(lo - start, 0), hi - max(lo, start))
+                if end >= hi:
+                    break
+                start = end
 
 
 def read_repo_files(input_path: str):
     """The repo-files Dataset of ``input_path``: one block per read unit
-    (``read_units``)."""
+    (``read_units``), and at least one, as an input of no rows has no
+    unit and Ray rejects 0 blocks."""
     return ray.data.read_parquet(
         input_path, columns=REPO_COLUMNS,
-        override_num_blocks=len(read_units(input_path)))
+        override_num_blocks=max(1, len(read_units(input_path))))
 
 
 # Input bytes per exchange group, so one group's reduce stays under
@@ -135,35 +148,31 @@ def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
 
 
 @ray.remote
-def _map_unit(path: str, piece: int, pieces: int, task, snapshot_ref,
-              batch_size: int, stop: str) -> int:
+def _map_unit(unit: list, task, snapshot_ref, batch_size: int,
+              stop: str) -> None:
     """One map task of ``run_kg_pipeline``: ``docs_task`` over one read
-    unit; returns the rows routed. It ends early, before its read or
-    after a slice, once the file ``stop`` exists. ``snapshot_ref`` comes
-    wrapped in a list, so Ray passes the ref and not the snapshot it
-    names."""
-    routed = 0
+    unit. It ends early, before its read or after a slice, once the file
+    ``stop`` exists. ``snapshot_ref`` comes wrapped in a list, so Ray
+    passes the ref and not the snapshot it names."""
     if os.path.exists(stop):
-        return routed
-    for out in docs_task(read_unit(path, piece, pieces), task,
-                         snapshot_ref[0], batch_size):
-        routed += out.column("rows_routed")[0].as_py()
-        if os.path.exists(stop):
-            break
-    return routed
+        return
+    for block in read_unit(unit, batch_size):
+        for _ in docs_task(block, task, snapshot_ref[0], batch_size):
+            if os.path.exists(stop):
+                return
 
 
-def _map_all(refs: list, stop: str) -> list:
-    """``ray.get(refs)``. If one raises, the file ``stop`` tells the other
-    tasks to end, and all are waited for first, so none is still spilling
-    when the caller cleans up.
+def _map_all(refs: list, stop: str) -> None:
+    """Waits for ``refs``. If one raises, the file ``stop`` tells the
+    other tasks to end, and all are waited for first, so none is still
+    spilling when the caller cleans up.
 
     Not ``ray.cancel``: in Ray 2.49, cancelling a task that is being
     dispatched to a freed worker can fail a check in the driver's task
     manager and abort the driver process (seen with 6 map tasks on 4
     CPUs, two of them failing)."""
     try:
-        return ray.get(refs)
+        ray.get(refs)
     except BaseException:
         open(stop, "w").close()
         ray.wait(refs, num_returns=len(refs))
@@ -225,7 +234,7 @@ def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
     stop = os.path.join(pool.spill_root, "_stop")
     try:
         t0 = time.time()
-        _map_all([_map_unit.remote(*unit, task, snapshot, batch_size, stop)
+        _map_all([_map_unit.remote(unit, task, snapshot, batch_size, stop)
                   for unit in read_units(input_path)], stop)
         stream_sec = time.time() - t0
         t0 = time.time()

@@ -86,19 +86,29 @@ def test_failed_map_unit_stops_the_others_before_clean_up(
     table = table.set_column(table.schema.get_field_index("repo"), "repo",
                              pa.array(repo))
     corpus = _corpus(tmp_path, table, n_files)
-    failed, routed = tmp_path / "failed", tmp_path / "routed"
+    out = str(tmp_path / "out")
+    stop = os.path.join(out, "quads", "_spill", "_stop")
+    entered, routed = tmp_path / "entered", tmp_path / "routed"
+    entered.mkdir()
     routed.mkdir()
-    failed_path, routed_dir = str(failed), str(routed)
+    entered_dir, routed_dir = str(entered), str(routed)
     route_quads = kg._route_quads
 
     def route_or_raise(batch, snapshot_ref, route):
         if batch.column("repo")[0].as_py() == "planted/failing":
-            open(failed_path, "w").close()
+            # fail once another unit is mid-slice; the session may have
+            # fewer free CPUs than units, so not all of them need be
+            deadline = time.monotonic() + 30
+            while not os.listdir(entered_dir) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise ValueError("planted map failure")
-        # the other units are mid-slice when the failure arrives
-        deadline = time.monotonic() + 30
-        while not os.path.exists(failed_path) \
-                and time.monotonic() < deadline:
+        open(os.path.join(entered_dir, uuid.uuid4().hex), "w").close()
+        # the other units hold each slice until they are told to stop (at
+        # most 5 s), then 0.5 s more, so that a driver that does not wait
+        # for them returns first
+        deadline = time.monotonic() + 5
+        while not os.path.exists(stop) and time.monotonic() < deadline:
             time.sleep(0.01)
         time.sleep(0.5)
         with open(os.path.join(routed_dir, uuid.uuid4().hex), "w") as fh:
@@ -106,16 +116,17 @@ def test_failed_map_unit_stops_the_others_before_clean_up(
         return route_quads(batch, snapshot_ref, route)
 
     monkeypatch.setattr(kg, "_route_quads", route_or_raise)
-    out = str(tmp_path / "out")
     with pytest.raises(ValueError, match="planted map failure"):
         kg.run_kg_pipeline(corpus, out, batch_size=10, resume=False)
     returned = time.time()
-    time.sleep(2)
+    # longer than a unit that never sees the stop file holds its slice
+    time.sleep(6)
     assert not _job_committed(out)
     assert not os.path.exists(os.path.join(out, "quads", "_spill"))
-    # told to stop: each other unit routed the slice it was in, not the
-    # 4 after it; and waited for: none routed after the call returned
+    # told to stop: each other unit that was running routed the slice it
+    # was in, not the 4 after it, and a unit that had not started routed
+    # none; and waited for: none routed after the call returned
     slices = [float((routed / name).read_text())
               for name in os.listdir(routed_dir)]
-    assert len(slices) <= n_files - 1
+    assert 1 <= len(slices) <= n_files - 1
     assert all(t <= returned for t in slices)

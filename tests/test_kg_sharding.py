@@ -37,7 +37,7 @@ def _operators(stats: str) -> list:
 
 @pytest.mark.parametrize("batch_size", [64, 1024])
 def test_output_does_not_depend_on_input_sharding(tmp_path, batch_size):
-    # 1 and 3 files: each file is cut into row ranges (4 and 6 read
+    # 1 and 3 files: the rows are cut into one range per CPU (4 read
     # units on 4 CPUs), and the view's map is its own operator; 8 files:
     # one unit per file, and the view's read and map fuse. The file
     # count is what sets how many map tasks run, so this is also the
@@ -72,37 +72,37 @@ def test_as_many_files_as_cpus_run_as_one_operator(tmp_path):
     assert _operators(ds.stats()) == ["ReadParquet->MapBatches(docs_task)"]
 
 
-def test_read_units_are_files_or_one_per_cpu(tmp_path, monkeypatch):
+def test_read_units_are_files_or_one_per_cpu(tmp_path):
     table = generate_repo_files(200)
     corpus = _sharded(tmp_path, table, cluster_cpus())
     assert kg.read_units(corpus) == [
-        (path, 0, 1) for _, path in checkpoint.input_files(corpus)]
+        [(path, 0, pq.read_metadata(path).num_rows)]
+        for _, path in checkpoint.input_files(corpus)]
 
-    # one file with row groups of 30 rows: one row range per CPU, which
-    # together read every row once, in file order, each reading only the
-    # row groups its range overlaps
-    one = tmp_path / "one"
-    one.mkdir()
-    pq.write_table(table, str(one / "part-0.parquet"), row_group_size=30)
-    units = kg.read_units(str(one))
-    assert units == [(str(one / "part-0.parquet"), piece, cluster_cpus())
-                     for piece in range(cluster_cpus())]
-    groups_read = []
-    read_row_groups = pq.ParquetFile.read_row_groups
+    # 1 and 3 files: one row range per CPU, of near-equal size, which
+    # together read every row once, in file order, in batches of at most
+    # batch_size rows
+    bounds = [200 * k // cluster_cpus() for k in range(cluster_cpus() + 1)]
+    for n_files in (1, 3):
+        units = kg.read_units(_sharded(tmp_path, table, n_files))
+        for batch_size in (16, 1024):
+            read = [list(kg.read_unit(unit, batch_size)) for unit in units]
+            assert max(t.num_rows for r in read for t in r) <= batch_size
+            assert [sum(t.num_rows for t in r) for r in read] == [
+                hi - lo for lo, hi in zip(bounds, bounds[1:])]
+            assert pa.concat_tables(t for r in read for t in r).equals(
+                table.select(kg.REPO_COLUMNS))
+    # with 3 files some ranges span two files
+    assert max(len(unit) for unit in units) == 2
 
-    def recording_read(self, groups, **kwargs):
-        groups_read.append(list(groups))
-        return read_row_groups(self, groups, **kwargs)
 
-    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", recording_read)
-    read = [kg.read_unit(*unit) for unit in units]
-    assert pa.concat_tables(read).equals(table.select(kg.REPO_COLUMNS))
-    bounds = [200 * piece // len(units) for piece in range(len(units) + 1)]
-    assert [t.num_rows for t in read] == [
-        hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    assert groups_read == [
-        [g for g in range(7) if g * 30 < hi and (g + 1) * 30 > lo]
-        for lo, hi in zip(bounds, bounds[1:])]
+def test_input_of_no_rows_has_no_read_unit(tmp_path):
+    corpus = _sharded(tmp_path, generate_repo_files(10).slice(0, 0), 1)
+    assert kg.read_units(corpus) == []
+    assert kg.read_repo_files(corpus).count() == 0
+    summary = kg.run_kg_pipeline(corpus, str(tmp_path / "out"),
+                                 resume=False)
+    assert (summary["n_quads"], summary["n_partitions"]) == (0, 0)
 
 
 def test_one_file_reads_one_block_per_cpu(tmp_path):
