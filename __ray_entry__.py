@@ -80,13 +80,14 @@ def _kg_quads(sf_dir: str):
 def _kg_docs(sf_dir: str, project=None):
     """One projection of the per-document kernel pass (``expand_quads``'
     ``expand_batch`` by default, or ``status_batch``, ``events_batch``,
-    ``canonical_batch``) over the tier's repo-files corpus: ``map_docs``,
-    one task operator fused with the read."""
-    from jsonld_js_ray.pipelines.kg import (
-        map_docs, read_repo_files, repo_files_for_sf_dir)
+    ``canonical_batch``, ``transform.api_batch``) over the tier's
+    repo-files corpus: ``map_docs`` writes it into a fresh dir under
+    ``_TMP_ROOT`` with the flagship's map tasks, and the Dataset reads it
+    back."""
+    from jsonld_js_ray.pipelines.kg import map_docs, repo_files_for_sf_dir
     from jsonld_js_ray.stages.expand_quads import expand_batch
-    return map_docs(read_repo_files(repo_files_for_sf_dir(sf_dir)),
-                    project or expand_batch)
+    return map_docs(repo_files_for_sf_dir(sf_dir), project or expand_batch,
+                    _tmp_dir("kg_docs_"))
 
 
 def _kg_nodes(sf_dir: str):
@@ -102,21 +103,14 @@ def _kg_entity_summary(sf_dir: str):
 
 def _jsonld_transform(op: str):
     """Per-document API queries (``api.expand/flatten/compact/frame``)
-    over the JSON rows of the repo-files corpus: one task operator after
-    the read, no actor pool."""
+    over the JSON rows of the repo-files corpus: ``api_batch`` as the
+    projection of ``_kg_docs``."""
     def run(sf_dir: str):
-        import ray
-        from jsonld_js_ray.pipelines.kg import (
-            read_repo_files, repo_files_for_sf_dir)
-        from jsonld_js_ray.sources.contexts import build_context_snapshot
         from jsonld_js_ray.stages.transform import api_batch
         arg = {"compact": {"@vocab": "http://ex.org/v/"},
                "frame": {"@context": {
                    "@vocab": "http://schema-like.example/"}}}.get(op)
-        return read_repo_files(repo_files_for_sf_dir(sf_dir)).map_batches(
-            api_batch, batch_format="pyarrow",
-            fn_kwargs={"snapshot_ref": ray.put(build_context_snapshot()),
-                       "op": op, "arg": arg})
+        return _kg_docs(sf_dir, functools.partial(api_batch, op=op, arg=arg))
     return run
 
 
@@ -580,9 +574,9 @@ def _media_audio_chunks(sf_dir: str):
 
 def entry() -> Any:
     """Flagship pipeline on the sf0.001 testdata: repo files → extract
-    → expand+toRDF → partial dedup → spill per exchange group (one fused
-    task operator) → one reduce task per group writes the partitions →
-    the written quads as a Dataset."""
+    → expand+toRDF → partial dedup → spill per exchange group (one plain
+    Ray task per read unit) → one reduce task per group writes the
+    partitions → the written quads as a Dataset."""
     return _kg_quads("/root/testdata/sf0.001")
 
 

@@ -23,11 +23,10 @@ under a small store it starts one task and holds the rest until the
 first one ends.
 
 The per-document views (``status_batch``, ``events_batch``,
-``canonical_batch``, ``expand_batch``) stay Datasets: ``map_docs`` over
-``read_repo_files``, which reads one block per read unit. With at least
-as many files as CPUs Ray fuses that read and the map into one task-pool
-operator, ``ReadParquet->MapBatches(docs_task)``. The views and the
-flagship share ``docs_task``. The KG path starts no actors.
+``canonical_batch``, ``expand_batch``, ``transform.api_batch``) run in
+the same map tasks (``map_docs``): each slice's projection is written as
+one Parquet file, and the view is those files read back. The KG path
+starts no actors.
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -59,6 +58,8 @@ from ..util_ray import cluster_cpus
 # all five input columns are needed downstream; prune nothing here but
 # keep the explicit list so accidental extra columns never ship
 REPO_COLUMNS = ["repo", "path", "commit", "lang", "content"]
+EMPTY_REPO_FILES = pa.schema(
+    [(name, pa.string()) for name in REPO_COLUMNS]).empty_table()
 
 
 def read_units(input_path: str) -> list[list[tuple[str, int, int]]]:
@@ -100,15 +101,6 @@ def read_unit(unit: list[tuple[str, int, int]],
                 start = end
 
 
-def read_repo_files(input_path: str):
-    """The repo-files Dataset of ``input_path``: one block per read unit
-    (``read_units``), and at least one, as an input of no rows has no
-    unit and Ray rejects 0 blocks."""
-    return ray.data.read_parquet(
-        input_path, columns=REPO_COLUMNS,
-        override_num_blocks=max(1, len(read_units(input_path))))
-
-
 # Input bytes per exchange group, so one group's reduce stays under
 # ~512 MiB as the input grows: at sf0.1 a reduce's peak RSS grew by up to
 # 59 bytes per input byte of its group (72.9 MB for the 1.24 MB of input
@@ -126,21 +118,6 @@ def exchange_groups(input_path: str) -> int:
         cluster_cpus(), math.ceil(input_bytes / GROUP_INPUT_BYTES)))
 
 
-def _pieces(block: pa.Table, batch_size: int) -> Iterator[pa.Table]:
-    """``block`` as zero-copy slices of at most ``batch_size`` rows."""
-    for lo in range(0, block.num_rows, batch_size):
-        yield block.slice(lo, batch_size)
-
-
-def docs_task(block: pa.Table, task, snapshot_ref,
-              batch_size: int) -> Iterator[pa.Table]:
-    """The map function of ``map_docs`` and of the flagship's map tasks:
-    extract → ``task`` per slice of ``batch_size`` rows, one output table
-    per slice."""
-    for piece in _pieces(block, batch_size):
-        yield task(extract_batch(piece, DEFAULT_PARTITIONS), snapshot_ref)
-
-
 def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
     """``run_kg_pipeline``'s projection: expand → partial dedup →
     ``route``."""
@@ -148,29 +125,41 @@ def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
 
 
 @ray.remote
-def _map_unit(unit: list, task, snapshot_ref, batch_size: int,
-              stop: str) -> None:
-    """One map task of ``run_kg_pipeline``: ``docs_task`` over one read
-    unit. It ends early, before its read or after a slice, once the file
-    ``stop`` exists. ``snapshot_ref`` comes wrapped in a list, so Ray
-    passes the ref and not the snapshot it names."""
+def _map_unit(unit: list, task, snapshot_ref, batch_size: int, stop: str,
+              out: str | None) -> None:
+    """One map task: extract → ``task`` on each slice of one read unit
+    (``read_unit``). With ``out``, slice ``i``'s output, when it has
+    rows, is written to ``<out>-<i>.parquet``. It ends early, before its
+    read or after a slice, once the file ``stop`` exists.
+    ``snapshot_ref`` comes wrapped in a list, so Ray passes the ref and
+    not the snapshot it names."""
     if os.path.exists(stop):
         return
-    for block in read_unit(unit, batch_size):
-        for _ in docs_task(block, task, snapshot_ref[0], batch_size):
-            if os.path.exists(stop):
-                return
+    for i, batch in enumerate(read_unit(unit, batch_size)):
+        result = task(extract_batch(batch, DEFAULT_PARTITIONS),
+                      snapshot_ref[0])
+        if out and result.num_rows:
+            pq.write_table(result, f"{out}-{i:05d}.parquet")
+        if os.path.exists(stop):
+            return
 
 
-def _map_all(refs: list, stop: str) -> None:
-    """Waits for ``refs``. If one raises, the file ``stop`` tells the
-    other tasks to end, and all are waited for first, so none is still
-    spilling when the caller cleans up.
+def _map_all(input_path: str, task, snapshot_ref, batch_size: int,
+             stop: str, out_dir: str | None = None) -> None:
+    """Submits one ``_map_unit`` per read unit of ``input_path``, all at
+    once, and waits for them; with ``out_dir``, unit ``k`` writes its
+    slices as ``<out_dir>/part-<k>-<i>.parquet``. If a task raises, the
+    file ``stop`` tells the others to end, and all are waited for first,
+    so none is still writing when the caller cleans up.
 
     Not ``ray.cancel``: in Ray 2.49, cancelling a task that is being
     dispatched to a freed worker can fail a check in the driver's task
     manager and abort the driver process (seen with 6 map tasks on 4
     CPUs, two of them failing)."""
+    refs = [_map_unit.remote(
+        unit, task, [snapshot_ref], batch_size, stop,
+        out_dir and os.path.join(out_dir, f"part-{k:05d}"))
+        for k, unit in enumerate(read_units(input_path))]
     try:
         ray.get(refs)
     except BaseException:
@@ -179,24 +168,28 @@ def _map_all(refs: list, stop: str) -> None:
         raise
 
 
-def map_docs(ds, task, batch_size: int = 1024):
-    """repo-files Dataset → extract → ``task`` (lazy, streaming): one
-    projection of the per-document kernel pass (``expand_batch``,
-    ``status_batch``, ``canonical_batch`` or ``events_batch``), with the
-    stage cached per worker on the ``ray.put`` context snapshot. The
-    per-document views map through it; the flagship job does not (it
-    runs ``docs_task`` in plain tasks, see the module docstring).
+def map_docs(input_path: str, task, out_dir: str, batch_size: int = 1024):
+    """One projection of the per-document kernel pass over the repo files
+    of ``input_path`` (``expand_batch``, ``status_batch``,
+    ``canonical_batch``, ``events_batch`` or ``transform.api_batch``),
+    with the stage cached per worker on the ``ray.put`` context snapshot.
 
-    One map function, ``docs_task``, runs extract and ``task`` on slices
-    of ``batch_size`` rows of each block, so ``batch_size`` is the scope
-    of content grouping (one kernel pass per distinct document). Over
-    ``read_repo_files`` it fuses with the read when the input has at
-    least as many files as CPUs."""
-    return ds.map_batches(
-        docs_task, batch_format="pyarrow",
-        fn_kwargs={"task": task,
-                   "snapshot_ref": ray.put(build_context_snapshot()),
-                   "batch_size": batch_size})
+    It runs the flagship's map (``_map_all``): one plain task per read
+    unit, extract and ``task`` on slices of ``batch_size`` rows, so
+    ``batch_size`` is the scope of content grouping (one kernel pass per
+    distinct document). Each slice's output goes to one Parquet file
+    under ``out_dir`` (new or empty), named by its unit and slice, so two
+    runs read back the same blocks; the result is those files as a
+    Dataset. With no output rows it is an empty Dataset with the view's
+    columns."""
+    os.makedirs(out_dir, exist_ok=True)
+    snapshot = build_context_snapshot()
+    _map_all(input_path, task, ray.put(snapshot), batch_size,
+             os.path.join(out_dir, "_stop"), out_dir)
+    if not os.listdir(out_dir):
+        return ray.data.from_arrow(task(extract_batch(
+            EMPTY_REPO_FILES, DEFAULT_PARTITIONS), snapshot))
+    return ray.data.read_parquet(out_dir)
 
 
 def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
@@ -230,12 +223,11 @@ def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
     # driver holds now
     task = functools.partial(_route_quads,
                              route=make_router(pool.handles(), num_groups))
-    snapshot = [ray.put(build_context_snapshot())]
+    snapshot_ref = ray.put(build_context_snapshot())
     stop = os.path.join(pool.spill_root, "_stop")
     try:
         t0 = time.time()
-        _map_all([_map_unit.remote(unit, task, snapshot, batch_size, stop)
-                  for unit in read_units(input_path)], stop)
+        _map_all(input_path, task, snapshot_ref, batch_size, stop)
         stream_sec = time.time() - t0
         t0 = time.time()
         merged = pool.finalize()
@@ -250,7 +242,6 @@ def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
             input_fingerprint=fingerprint)
     total = {"n_quads": sum(e["n_quads"] for e in merged.values()),
              "n_partitions": len(merged),
-             "resumed_skipped": [],
              "input_fingerprint": fingerprint,
              "phases": {"stream_sec": round(stream_sec, 2),
                         "finalize_sec": round(finalize_sec, 2)}}

@@ -36,7 +36,7 @@ def extract_batch(batch: pa.Table,
     starts_arr = pc.starts_with(pc.utf8_ltrim_whitespace(contents), "[")
     has_at = pc.match_substring(contents, '"@')
     structural = pc.and_(pc.or_(starts_obj, starts_arr), has_at)
-    lang_ok = pa.array([lg in _JSONLD_LANGS for lg in langs])
+    lang_ok = pa.array([lg in _JSONLD_LANGS for lg in langs], pa.bool_())
     is_jsonld = pc.or_(lang_ok, structural)
 
     # deterministic partition key of the hive-partitioned output

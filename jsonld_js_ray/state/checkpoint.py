@@ -52,18 +52,13 @@ def input_fingerprint(input_path: str, num_partitions: int) -> str:
 
 def committed_job(out_dir: str, fingerprint: str) -> Optional[dict]:
     """The committed job summary of ``out_dir`` if its input fingerprint
-    is ``fingerprint``, with ``resumed_skipped`` set to all of its
-    partitions; None otherwise."""
+    is ``fingerprint``; None otherwise."""
     try:
         with open(os.path.join(manifest_dir(out_dir), "job.json")) as fh:
             job = json.load(fh)
     except (OSError, ValueError):
         return None
-    if job.get("input_fingerprint") != fingerprint:
-        return None
-    job["resumed_skipped"] = sorted(
-        e["partition_id"] for e in read_entries(out_dir))
-    return job
+    return job if job.get("input_fingerprint") == fingerprint else None
 
 
 def write_partition_entry(out_dir: str, partition_id: int,

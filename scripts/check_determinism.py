@@ -4,11 +4,12 @@ guards against float-summation order leaking through rounding, the
 failure mode the driver's hash gate would flag as a flaky mismatch.
 ``kg_quads`` is in the default set too: two runs of the flagship sink must
 write the same rows, lineage included; so are ``kg_entity_summary`` and
-``kg_merged_nodes`` (one group-by shuffle each), ``kg_doc_status`` and
-``kg_canonical_nquads`` (projections of the per-document kernel pass,
-whose batches follow the read's blocks), ``jsonld_compact_docs`` (the
-per-document API in fused tasks) and ``nquads_roundtrip`` (N-Quads shards
-named by content hash, read back with paths relative to their dir).
+``kg_merged_nodes`` (one group-by shuffle each), the per-document views
+``kg_doc_status``, ``kg_doc_events`` and ``kg_canonical_nquads`` and the
+four ``jsonld_*_docs`` (projections written by the flagship's map tasks,
+one Parquet file per slice, and read back), and ``nquads_roundtrip``
+(N-Quads shards named by content hash, read back with paths relative to
+their dir).
 
 Usage: python scripts/check_determinism.py [sf_dir] [name ...]
 """
@@ -28,8 +29,9 @@ DEFAULT_QUERIES = [
     "q3_shipping_priority", "events_hourly", "events_sliding_window",
     "events_sessions", "doc_ngram_jaccard", "doc_embedding_near_dup",
     "doc_length_by_lang", "kg_quads", "kg_entity_summary",
-    "kg_merged_nodes", "kg_doc_status", "kg_canonical_nquads",
-    "jsonld_compact_docs", "nquads_roundtrip",
+    "kg_merged_nodes", "kg_doc_status", "kg_doc_events",
+    "kg_canonical_nquads", "jsonld_expand_docs", "jsonld_flatten_docs",
+    "jsonld_compact_docs", "jsonld_frame_docs", "nquads_roundtrip",
 ]
 
 

@@ -2,6 +2,7 @@
 an unchanged input returns the committed summary, and every other run
 equals a clean run."""
 
+import json
 import os
 import shutil
 
@@ -28,6 +29,11 @@ def _assert_clean(out, summary, clean_run):
     assert _written_pairs(out) == pairs
 
 
+def _committed_summary(out):
+    with open(os.path.join(out, "_manifest", "job.json")) as fh:
+        return json.load(fh)
+
+
 def _a_partition_dir(out):
     quads = os.path.join(out, "quads")
     return os.path.join(quads, min(n for n in os.listdir(quads)
@@ -51,11 +57,8 @@ def test_rerun_on_committed_output_returns_its_summary(tmp_path,
 
     monkeypatch.setattr(kg, "_map_unit", MapUnit)
     again = kg.run_kg_pipeline(corpus, out)
-    assert (again["n_quads"], again["n_partitions"]) \
-        == (first["n_quads"], first["n_partitions"])
+    assert again == first == json.loads(committed)
     assert job_json.read_bytes() == committed
-    assert again["resumed_skipped"] \
-        == sorted({pid for pid, *_ in _written_pairs(out)})
     assert launched == [], "a committed rerun started Ray work"
 
     # the hook sees the launches of a job that does run
@@ -65,10 +68,11 @@ def test_rerun_on_committed_output_returns_its_summary(tmp_path,
 
 def test_other_corpus_into_committed_output_equals_clean_run(tmp_path):
     out = str(tmp_path / "out")
-    kg.run_kg_pipeline(repo_files_path_n(300), out)
+    first = kg.run_kg_pipeline(repo_files_path_n(300), out)
     summary = kg.run_kg_pipeline(repo_files_path_n(600), out)
     _assert_clean(out, summary, _clean_run(tmp_path, repo_files_path_n(600)))
-    assert summary["resumed_skipped"] == []
+    assert summary["input_fingerprint"] != first["input_fingerprint"]
+    assert _committed_summary(out) == summary
 
 
 def test_rewritten_input_file_is_recomputed(tmp_path):
@@ -95,7 +99,7 @@ def test_kill_before_commit_resumes_to_clean_run(tmp_path):
     shutil.rmtree(_a_partition_dir(out))
     summary = kg.run_kg_pipeline(corpus, out, resume=True)
     _assert_clean(out, summary, _clean_run(tmp_path, corpus))
-    assert summary["resumed_skipped"] == []
+    assert _committed_summary(out) == summary
 
 
 def test_fresh_run_clears_stale_partitions(tmp_path):

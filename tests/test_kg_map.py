@@ -1,6 +1,7 @@
-"""The flagship's map tasks: every read unit starts at once, even under a
-small object store, and a failed unit stops the others before the job
-cleans up its spills."""
+"""The KG map tasks: every read unit starts at once, even under a small
+object store, for the flagship job and for a view (``map_docs``) alike,
+and a failed unit stops the others before the job cleans up its
+spills."""
 
 import os
 import subprocess
@@ -19,9 +20,10 @@ from tests.test_kg_exchange import _corpus, _job_committed
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RAY_CPUS = 4
 
-# argv: checkout, corpus, out_dir, marker dir. Each map unit touches a
-# marker, then waits until every unit has touched one; a unit that waits
-# 30 s fails the job.
+# argv: checkout, corpus, out dir, marker dir. Each map unit of the job,
+# then of the view, touches a marker in <marker dir>/job or /view, then
+# waits until every unit has touched one; a unit that waits 30 s fails
+# the run.
 _RUN_SCRIPT = """
 import os
 import sys
@@ -34,25 +36,39 @@ ray.init(address="local", num_cpus=%d, include_dashboard=False,
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from jsonld_js_ray.pipelines import kg
+from jsonld_js_ray.stages.expand_quads import status_batch
 corpus, out_dir, markers = sys.argv[2:5]
 n_units = %d  # one per input file
 route_quads = kg._route_quads
 
 
-def route_once_all_started(batch, snapshot_ref, route):
-    open(os.path.join(markers, uuid.uuid4().hex), "w").close()
+def wait_for_all_units(run):
+    marker_dir = os.path.join(markers, run)
+    open(os.path.join(marker_dir, uuid.uuid4().hex), "w").close()
     deadline = time.monotonic() + 30
-    while len(os.listdir(markers)) < n_units:
+    while len(os.listdir(marker_dir)) < n_units:
         if time.monotonic() > deadline:
-            raise TimeoutError(f"{len(os.listdir(markers))} of {n_units} "
-                               "map units started")
+            raise TimeoutError(f"{len(os.listdir(marker_dir))} of "
+                               f"{n_units} {run} map units started")
         time.sleep(0.05)
+
+
+def route_once_all_started(batch, snapshot_ref, route):
+    wait_for_all_units("job")
     return route_quads(batch, snapshot_ref, route)
 
 
+def status_once_all_started(batch, snapshot_ref):
+    wait_for_all_units("view")
+    return status_batch(batch, snapshot_ref)
+
+
 kg._route_quads = route_once_all_started
-m = kg.run_kg_pipeline(corpus, out_dir, resume=False)
-print("DONE", m["n_quads"], flush=True)
+m = kg.run_kg_pipeline(corpus, os.path.join(out_dir, "job"), resume=False)
+print("DONE job", m["n_quads"], flush=True)
+view = kg.map_docs(corpus, status_once_all_started,
+                   os.path.join(out_dir, "view"))
+print("DONE view", view.count(), flush=True)
 ray.shutdown()
 """ % (RAY_CPUS, RAY_CPUS)
 
@@ -62,7 +78,8 @@ def test_all_map_units_run_at_once(tmp_path):
     # wave of map tasks, not one task and then the rest
     corpus = _corpus(tmp_path, generate_repo_files(200), RAY_CPUS)
     markers = tmp_path / "markers"
-    markers.mkdir()
+    for run in ("job", "view"):
+        (markers / run).mkdir(parents=True)
     script = tmp_path / "run.py"
     script.write_text(_RUN_SCRIPT)
     # started in this checkout, as Ray workers import from the driver's
@@ -71,8 +88,10 @@ def test_all_map_units_run_at_once(tmp_path):
         [sys.executable, str(script), REPO_ROOT, corpus,
          str(tmp_path / "out"), str(markers)],
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=180)
-    assert "DONE" in proc.stdout, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert len(os.listdir(markers)) == RAY_CPUS
+    assert "DONE view 200" in proc.stdout, \
+        proc.stdout[-2000:] + proc.stderr[-2000:]
+    for run in ("job", "view"):
+        assert len(os.listdir(markers / run)) == RAY_CPUS
 
 
 def test_failed_map_unit_stops_the_others_before_clean_up(

@@ -39,6 +39,12 @@ def test_extract_sha256_invariant(small_table):
         assert hashlib.sha256(c.encode()).hexdigest() == s
 
 
+def test_extract_of_no_rows_has_the_extract_columns(small_table):
+    out = extract_batch(small_table.slice(0, 0))
+    assert out.num_rows == 0
+    assert out.schema == extract_batch(small_table).schema
+
+
 def test_expand_stage_local(small_table):
     batch = extract_batch(small_table)
     stage = ExpandToQuads()  # local snapshot fallback
@@ -337,7 +343,7 @@ class TestRayPipeline:
         shutil.rmtree(tmp_out, ignore_errors=True)
         return run_kg_pipeline(path, tmp_out)
 
-    def test_end_to_end_and_resume(self, tmp_path):
+    def test_end_to_end_and_resume(self, tmp_path, monkeypatch):
         out = str(tmp_path / "kg")
         m1 = self._run(out)
         assert m1["n_quads"] > 100
@@ -349,20 +355,20 @@ class TestRayPipeline:
         df = t.to_pandas()
         assert not df.duplicated(subset=QUAD_COLS).any()
 
-        # resume: second run must skip all completed partitions
-        from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+        # resume: a second run returns the committed summary and starts
+        # no map task
+        from jsonld_js_ray.pipelines import kg
         from jsonld_js_ray.sources.repo_files import repo_files_path
-        m2 = run_kg_pipeline(repo_files_path(0.0003), out)
-        assert set(m2["resumed_skipped"]) >= set(
-            df["partition_id"].unique().tolist())
+        monkeypatch.setattr(kg, "_map_unit", None)
+        m2 = kg.run_kg_pipeline(repo_files_path(0.0003), out)
+        assert m2 == m1
 
-    def test_entity_summary(self):
-        from jsonld_js_ray.pipelines.kg import (
-            entity_summary, map_docs, read_repo_files)
+    def test_entity_summary(self, tmp_path):
+        from jsonld_js_ray.pipelines.kg import entity_summary, map_docs
         from jsonld_js_ray.sources.repo_files import repo_files_path
         from jsonld_js_ray.stages.expand_quads import expand_batch
-        quads = map_docs(read_repo_files(repo_files_path(0.0003)),
-                         expand_batch)
+        quads = map_docs(repo_files_path(0.0003), expand_batch,
+                         str(tmp_path / "quads"))
         ent = entity_summary(quads).to_pandas()
         assert (ent["n_quads"] > 0).all()
         assert ent["subject"].is_unique
@@ -382,9 +388,9 @@ class TestRayPipeline:
             assert out.to_dict("records") == [
                 {"subject": "s", "n_quads": 8, "n_docs": 1}]
 
-    def test_doc_status_quarantine(self):
+    def test_doc_status_quarantine(self, tmp_path):
         import pyarrow as pa
-        import ray
+        import pyarrow.parquet as pq
         from jsonld_js_ray.pipelines.kg import map_docs
         from jsonld_js_ray.stages.expand_quads import status_batch
         bad = pa.table({
@@ -395,8 +401,10 @@ class TestRayPipeline:
             "content": ['{"@context": 5, "@id": "http://x/a"}',
                         '{"@id": "http://x/a", "http://p": "v"}'],
         })
-        ds = ray.data.from_arrow(bad)
-        st = map_docs(ds, status_batch).to_pandas()
+        (tmp_path / "input").mkdir()
+        pq.write_table(bad, tmp_path / "input" / "part-0.parquet")
+        st = map_docs(str(tmp_path / "input"), status_batch,
+                      str(tmp_path / "status")).to_pandas()
         st = st.set_index("path")
         assert st.loc["a.jsonld", "status"] == "error"
         assert st.loc["b.jsonld", "status"] == "ok"
