@@ -91,14 +91,17 @@ def _kg_docs(sf_dir: str, project=None):
 
 
 def _kg_nodes(sf_dir: str):
-    """Corpus node merge (entity linking): quads → merged JSON-LD nodes."""
-    from jsonld_js_ray.pipelines.entity_link import merge_entities
-    return merge_entities(_kg_docs(sf_dir))
+    """Corpus node merge (entity linking): quads → merged JSON-LD nodes,
+    one Parquet file per exchange group under a fresh dir."""
+    from jsonld_js_ray.pipelines import entity_link, kg
+    return entity_link.merge_entities(kg.repo_files_for_sf_dir(sf_dir),
+                                      _tmp_dir("kg_nodes_"))
 
 
 def _kg_entity_summary(sf_dir: str):
-    from jsonld_js_ray.pipelines.kg import entity_summary
-    return entity_summary(_kg_docs(sf_dir))
+    from jsonld_js_ray.pipelines import kg
+    return kg.entity_summary(kg.repo_files_for_sf_dir(sf_dir),
+                             _tmp_dir("kg_entity_summary_"))
 
 
 def _jsonld_transform(op: str):

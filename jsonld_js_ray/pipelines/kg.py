@@ -25,8 +25,11 @@ first one ends.
 The per-document views (``status_batch``, ``events_batch``,
 ``canonical_batch``, ``expand_batch``, ``transform.api_batch``) run in
 the same map tasks (``map_docs``): each slice's projection is written as
-one Parquet file, and the view is those files read back. The KG path
-starts no actors.
+one Parquet file, and the view is those files read back. The two corpus
+aggregates (``entity_summary``, ``entity_link.merge_entities``) run on
+the flagship's exchange (``exchange``, one helper for all three), with
+their own map-side combiner, routing key and per-group merge. The KG
+path starts no actors and no Ray Data shuffle.
 
 Every stage streams: nothing materializes the full dataset on the driver.
 """
@@ -48,9 +51,10 @@ import ray
 from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
 from ..stages.dedup import partial_dedup_batch
-from ..stages.expand_quads import expand_batch
+from ..stages.expand_quads import QUAD_SCHEMA, expand_batch
 from ..stages.extract import DEFAULT_PARTITIONS, extract_batch
-from ..stages.partition_sink import WriterPool, make_router
+from ..stages.partition_sink import (WriterPool, make_router, partition_key,
+                                     subject_key, write_partitions)
 from ..state import checkpoint
 from ..util_ray import cluster_cpus
 
@@ -118,47 +122,55 @@ def exchange_groups(input_path: str) -> int:
         cluster_cpus(), math.ceil(input_bytes / GROUP_INPUT_BYTES)))
 
 
-def _route_quads(batch: pa.Table, snapshot_ref, route) -> pa.Table:
-    """``run_kg_pipeline``'s projection: expand → partial dedup →
-    ``route``."""
-    return route(partial_dedup_batch(expand_batch(batch, snapshot_ref)))
+def _route_quads(batch: pa.Table, snapshot_ref, route,
+                 partial=partial_dedup_batch) -> pa.Table:
+    """The map side of ``exchange``: expand → ``partial`` (the flagship's
+    partial dedup, or an aggregate's combiner) → ``route``."""
+    return route(partial(expand_batch(batch, snapshot_ref)))
 
 
 @ray.remote
 def _map_unit(unit: list, task, snapshot_ref, batch_size: int, stop: str,
-              out: str | None) -> None:
+              name: str, out_dir: str | None, route) -> None:
     """One map task: extract → ``task`` on each slice of one read unit
-    (``read_unit``). With ``out``, slice ``i``'s output, when it has
-    rows, is written to ``<out>-<i>.parquet``. It ends early, before its
-    read or after a slice, once the file ``stop`` exists.
-    ``snapshot_ref`` comes wrapped in a list, so Ray passes the ref and
-    not the snapshot it names."""
+    (``read_unit``); slice ``i`` is named ``<name>-<i>``. With ``out_dir``,
+    a slice's output, when it has rows, is written to
+    ``<out_dir>/<slice name>.parquet``. With ``route``, ``task`` gets it
+    as its third argument, bound to the slice's name, so the spills of a
+    retried attempt replace those of the attempt that died. It ends
+    early, before its read or after a slice, once the file ``stop``
+    exists. ``snapshot_ref`` comes wrapped in a list, so Ray passes the
+    ref and not the snapshot it names."""
     if os.path.exists(stop):
         return
     for i, batch in enumerate(read_unit(unit, batch_size)):
+        slice_name = f"{name}-{i:05d}"
+        bound = [functools.partial(route, name=slice_name)] if route else []
         result = task(extract_batch(batch, DEFAULT_PARTITIONS),
-                      snapshot_ref[0])
-        if out and result.num_rows:
-            pq.write_table(result, f"{out}-{i:05d}.parquet")
+                      snapshot_ref[0], *bound)
+        if out_dir and result.num_rows:
+            pq.write_table(result,
+                           os.path.join(out_dir, slice_name + ".parquet"))
         if os.path.exists(stop):
             return
 
 
 def _map_all(input_path: str, task, snapshot_ref, batch_size: int,
-             stop: str, out_dir: str | None = None) -> None:
+             stop: str, out_dir: str | None = None, route=None) -> None:
     """Submits one ``_map_unit`` per read unit of ``input_path``, all at
-    once, and waits for them; with ``out_dir``, unit ``k`` writes its
-    slices as ``<out_dir>/part-<k>-<i>.parquet``. If a task raises, the
-    file ``stop`` tells the others to end, and all are waited for first,
-    so none is still writing when the caller cleans up.
+    once, and waits for them; unit ``k``'s slices are named
+    ``part-<k>-<i>``, for the files under ``out_dir`` or the spills of
+    ``route``. If a task raises, the file ``stop`` tells the others to
+    end, and all are waited for first, so none is still writing when the
+    caller cleans up.
 
     Not ``ray.cancel``: in Ray 2.49, cancelling a task that is being
     dispatched to a freed worker can fail a check in the driver's task
     manager and abort the driver process (seen with 6 map tasks on 4
     CPUs, two of them failing)."""
     refs = [_map_unit.remote(
-        unit, task, [snapshot_ref], batch_size, stop,
-        out_dir and os.path.join(out_dir, f"part-{k:05d}"))
+        unit, task, [snapshot_ref], batch_size, stop, f"part-{k:05d}",
+        out_dir, route)
         for k, unit in enumerate(read_units(input_path))]
     try:
         ray.get(refs)
@@ -186,10 +198,41 @@ def map_docs(input_path: str, task, out_dir: str, batch_size: int = 1024):
     snapshot = build_context_snapshot()
     _map_all(input_path, task, ray.put(snapshot), batch_size,
              os.path.join(out_dir, "_stop"), out_dir)
+    return _read_back(out_dir, lambda: task(extract_batch(
+        EMPTY_REPO_FILES, DEFAULT_PARTITIONS), snapshot))
+
+
+def _read_back(out_dir: str, empty):
+    """The Parquet files a query wrote under ``out_dir`` as a Dataset, or
+    the table ``empty()`` as one when it wrote none."""
     if not os.listdir(out_dir):
-        return ray.data.from_arrow(task(extract_batch(
-            EMPTY_REPO_FILES, DEFAULT_PARTITIONS), snapshot))
+        return ray.data.from_arrow(empty())
     return ray.data.read_parquet(out_dir)
+
+
+def exchange(input_path: str, out_dir: str, task, key, reduce,
+             batch_size: int) -> tuple[dict, dict]:
+    """The KG path's one exchange (stages/partition_sink.py) over the repo
+    files of ``input_path``, with G = ``exchange_groups`` groups: one
+    ``_map_unit`` per read unit runs ``task(slice, snapshot_ref, route)``
+    on slices of ``batch_size`` rows, where ``route`` spills the rows
+    per group of ``key`` under the slice's name; then one ``reduce`` task per group writes under
+    ``out_dir``. The spills are removed, after a failure too. Returns the
+    union of the reduces' dicts and the two phases' seconds."""
+    num_groups = exchange_groups(input_path)
+    pool = WriterPool(out_dir, num_groups, reduce=reduce)
+    snapshot_ref = ray.put(build_context_snapshot())
+    try:
+        t0 = time.time()
+        _map_all(input_path, task, snapshot_ref, batch_size,
+                 os.path.join(pool.spill_root, "_stop"),
+                 route=make_router(pool.handles(), num_groups, key))
+        t1 = time.time()
+        merged = pool.finalize()
+    finally:
+        pool.shutdown()
+    return merged, {"stream_sec": round(t1 - t0, 2),
+                    "finalize_sec": round(time.time() - t1, 2)}
 
 
 def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
@@ -215,26 +258,11 @@ def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
     shutil.rmtree(checkpoint.manifest_dir(out_dir), ignore_errors=True)
     shutil.rmtree(data_dir, ignore_errors=True)
 
-    # one-level file exchange: no all-to-all barrier, no actors (see
-    # stages/partition_sink.py)
-    num_groups = exchange_groups(input_path)
-    pool = WriterPool(data_dir, num_groups)
+    # one-level file exchange: no all-to-all barrier, no actors.
     # ``_route_quads`` is looked up per call, so the tasks run the one the
     # driver holds now
-    task = functools.partial(_route_quads,
-                             route=make_router(pool.handles(), num_groups))
-    snapshot_ref = ray.put(build_context_snapshot())
-    stop = os.path.join(pool.spill_root, "_stop")
-    try:
-        t0 = time.time()
-        _map_all(input_path, task, snapshot_ref, batch_size, stop)
-        stream_sec = time.time() - t0
-        t0 = time.time()
-        merged = pool.finalize()
-        finalize_sec = time.time() - t0
-    finally:
-        # removes the spills a failed job leaves
-        pool.shutdown()
+    merged, phases = exchange(input_path, data_dir, _route_quads,
+                              partition_key, write_partitions, batch_size)
 
     for part, e in merged.items():
         checkpoint.write_partition_entry(
@@ -243,56 +271,66 @@ def run_kg_pipeline(input_path: str, out_dir: str, batch_size: int = 1024,
     total = {"n_quads": sum(e["n_quads"] for e in merged.values()),
              "n_partitions": len(merged),
              "input_fingerprint": fingerprint,
-             "phases": {"stream_sec": round(stream_sec, 2),
-                        "finalize_sec": round(finalize_sec, 2)}}
+             "phases": phases}
     checkpoint.write_job_summary(out_dir, total)
     return total
 
 
-def entity_summary(quads_ds):
-    """Entity-linking aggregate: per canonical subject IRI, triple count and
-    referencing-doc count, in one shuffle. Skew-safe: each batch first
-    reduces to one row per (subject, doc) pair with its partial quad count
-    (vectorized pandas groupby, SURVEY.md §2.5), tagged with a coarse
-    bucket of the subject; one ``groupby(bucket).map_groups`` then sums
-    each pair and counts its subject's rows.
+def aggregate(input_path: str, out_dir: str, partial, key, merge,
+              batch_size: int):
+    """A corpus aggregate of the quads of ``input_path`` on ``exchange``:
+    each slice's quads are combined by ``partial`` and routed by ``key``,
+    and the reduce of group ``g`` writes ``merge`` of all the group's
+    partials as ``<out_dir>/part-<g>.parquet``. Returns those files as a
+    Dataset, or ``merge(partial(<no quads>))`` when there are none;
+    ``out_dir`` is new or empty."""
+    os.makedirs(out_dir, exist_ok=True)
+    exchange(input_path, out_dir,
+             functools.partial(_route_quads, partial=partial), key,
+             functools.partial(_write_merged, merge=merge), batch_size)
+    return _read_back(out_dir,
+                      lambda: merge(partial(QUAD_SCHEMA.empty_table())))
+
+
+def _write_merged(partials: pa.Table, out_dir: str, g: int, merge) -> dict:
+    pq.write_table(merge(partials),
+                   os.path.join(out_dir, f"part-{g:05d}.parquet"))
+    return {}
+
+
+def _subject_doc_counts(quads: pa.Table) -> pa.Table:
+    """``entity_summary``'s combiner: one row per (subject, doc) of a
+    slice, with its quad count (``count_all``)."""
+    return quads.group_by(["subject", "content_sha256"],
+                          use_threads=False).aggregate([([], "count_all")])
+
+
+def _per_subject(partials: pa.Table) -> pa.Table:
+    """``entity_summary``'s merge: per subject, the sum of its partial
+    quad counts and the number of distinct docs among them."""
+    return (partials.group_by("subject", use_threads=False)
+            .aggregate([("count_all", "sum"),
+                        ("content_sha256", "count_distinct")])
+            .select(["subject", "count_all_sum",
+                     "content_sha256_count_distinct"])
+            .rename_columns(["subject", "n_quads", "n_docs"]))
+
+
+def entity_summary(input_path: str, out_dir: str, batch_size: int = 1024):
+    """Entity-linking aggregate over the repo files of ``input_path``:
+    per canonical subject IRI, triple count and referencing-doc count
+    (subject, n_quads, n_docs), written under ``out_dir`` and read back.
+    Skew-safe: each slice first reduces to one row per (subject, doc)
+    pair with its partial quad count (SURVEY.md §2.5); the pairs go
+    through the flagship's exchange keyed by subject, and each group's
+    reduce sums each subject's counts and counts its distinct docs.
 
     n_docs is a TRUE distinct count: every partial of a subject lands in
-    that subject's bucket, so a document spanning several blocks still
-    counts once (a per-batch ``nunique`` summed globally would count it
-    once per block, making the result vary with partitioning)."""
-    import pandas as pd
-
-    n_buckets = 128
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(["subject", "content_sha256"]).to_pandas()
-        g = (df.groupby(["subject", "content_sha256"])
-               .agg(n_quads=("subject", "size"))
-               .reset_index())
-        # per-subject Ray groups would pay per-group overhead at one
-        # group per subject
-        g["_sb"] = (pd.util.hash_array(g["subject"].to_numpy(
-            dtype=object)) % n_buckets).astype("int64")
-        # no pandas metadata: a schema carrying a metadata dict is
-        # unhashable, and the shuffle's schema dedup then logs "Failed to
-        # hash the schemas" per reduce task
-        return pa.Table.from_pandas(
-            g, preserve_index=False).replace_schema_metadata()
-
-    def per_subject(g: pd.DataFrame) -> pd.DataFrame:
-        pairs = g.groupby(["subject", "content_sha256"],
-                          as_index=False)["n_quads"].sum()
-        out = (pairs.groupby("subject")
-               .agg(n_quads=("n_quads", "sum"),
-                    n_docs=("content_sha256", "size"))
-               .reset_index())
-        out["n_quads"] = out["n_quads"].astype("int64")
-        out["n_docs"] = out["n_docs"].astype("int64")
-        return out
-
-    return (quads_ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_sb").map_groups(per_subject, batch_format="pandas"))
+    that subject's group, so a document spanning several slices or units
+    still counts once (a per-slice count summed globally would count it
+    once per slice, making the result vary with partitioning)."""
+    return aggregate(input_path, out_dir, _subject_doc_counts,
+                     subject_key, _per_subject, batch_size)
 
 
 def repo_files_for_sf_dir(sf_dir: str) -> str:

@@ -1,22 +1,36 @@
-"""Partitioned sink: a two-phase file exchange, the one KG sink.
+"""The KG path's one exchange: map tasks spill per group, one reduce task
+per group (a two-phase file exchange).
+
+It has three users, which all run it through ``pipelines/kg.exchange``
+with G = ``exchange_groups`` groups:
+
+- the flagship, ``run_kg_pipeline``: spills keyed by ``partition_id``
+  (``partition_key``), reduced by ``write_partitions``;
+- ``entity_summary`` (pipelines/kg.py): per-(subject, doc) quad counts,
+  keyed by subject (``subject_key``);
+- ``merge_entities`` (pipelines/entity_link.py): distinct node rows, keyed
+  by subject too: a node is a (graph, subject), so all of its rows still
+  meet in one group.
 
 Map side: ``make_router`` returns the function that ends each map task
 (one plain Ray task per read unit, pipelines/kg.py). It splits each
-slice by group ``g = partition_id % G`` and writes each group's rows as
-one spill file (Arrow IPC) under ``<data_dir>/_spill/g=<g>/``. A spill is
-written under a temporary name and then renamed, so a killed task
-attempt leaves no torn spill. Nothing is acked: the slice loop never
-waits on anything but its own writes.
+slice by group ``g = key % G`` and writes each group's rows as one spill
+file (Arrow IPC) under ``<data_dir>/_spill/g=<g>/``, named by the map
+task's read unit and slice (``part-<unit>-<slice>.arrow``). A spill is
+written under a temporary name and then renamed, so a killed task attempt
+leaves no torn spill, and a retried attempt replaces the spills of the
+one that died rather than adding to them. Nothing is acked: the slice
+loop never waits on anything but its own writes.
 
-Reduce side: ``WriterPool.finalize`` runs one plain Ray task per group.
-It reads all of the group's spills and keeps, per (partition, quad), the
+Reduce side: ``WriterPool.finalize`` runs one plain Ray task per group,
+which reads all of the group's spills and hands them to the pool's
+``reduce``. Every row of a key lands in one group, so the reduce sees
+all of its rows. The flagship's reduce keeps, per (partition, quad), the
 row least on ``dedup.WINNER_ORDER`` (``dedup.least_indices`` over the
 whole group, exact at any job size), then writes each partition's
-winners as one Parquet file under ``partition_id=<pid>/``. Every row of a
-partition lands in one group, so the reduce sees all of its copies. A
-retried map task may leave a second copy of a spill; the exact dedup
-drops it. Spill names are random for the same reason: a second copy is
-harmless.
+winners as one Parquet file under ``partition_id=<pid>/``. The spill
+names keep the reduces exact under task retries: ``entity_summary``'s
+``n_quads`` is a sum, so a slice spilled twice would count twice.
 
 The spill directory's name starts with ``_``, so Ray's and pyarrow's
 readers skip it, and ``finalize`` (or, after a failure, ``shutdown``)
@@ -46,10 +60,11 @@ with ``ray.init(num_cpus=4)``, Ray 2.49.2, single runs:
 At this fan-out a one-level exchange through persisted intermediates is
 enough (Hyper Dimension Shuffle, VLDB 2019).
 
-Fault story: a failed map or reduce task makes the job raise, so it
-never commits and its rerun recomputes everything (state/checkpoint.py).
-After a failed map task the others are told to stop and waited for
-before ``shutdown`` removes the spills (pipelines/kg.py ``_map_all``).
+Fault story: a failed map or reduce task makes the call raise, so a job
+never commits and its rerun recomputes everything
+(state/checkpoint.py). After a failed map task the others are told to
+stop and waited for before ``shutdown`` removes the spills
+(pipelines/kg.py ``_map_all``).
 """
 
 from __future__ import annotations
@@ -60,6 +75,7 @@ import uuid
 from typing import Optional
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
@@ -87,25 +103,18 @@ def _split(table: pa.Table, keys: np.ndarray,
         yield int(sorted_keys[s]), sorted_tbl.slice(int(s), int(e - s))
 
 
-def _spill(group_dir: str, table: pa.Table):
-    path = os.path.join(group_dir, uuid.uuid4().hex + SPILL_SUFFIX)
+def _spill(group_dir: str, table: pa.Table, name: Optional[str]):
+    path = os.path.join(group_dir, (name or uuid.uuid4().hex) + SPILL_SUFFIX)
     with pa.OSFile(path + ".tmp", "wb") as sink, \
             pa.ipc.new_file(sink, table.schema) as writer:
         writer.write_table(table)
     os.replace(path + ".tmp", path)
 
 
-@ray.remote
-def _reduce_group(group_dir: str, data_dir: str) -> dict:
-    """Write the least copy of each (partition, quad) among the spills of
-    ``group_dir``, one Parquet file per partition; return
-    ``{pid: {n_quads, n_docs}}``."""
-    spills = [pa.ipc.open_file(pa.memory_map(os.path.join(group_dir, n)))
-              .read_all() for n in sorted(os.listdir(group_dir))
-              if n.endswith(SPILL_SUFFIX)]
-    if not spills:
-        return {}
-    window = pa.concat_tables(spills)
+def write_partitions(window: pa.Table, data_dir: str, g: int) -> dict:
+    """The flagship's reduce: write the least copy of each (partition,
+    quad) among the rows of one group, one Parquet file per partition;
+    return ``{pid: {n_quads, n_docs}}``."""
     winners = least_indices(window, QUAD_COLS + ["partition_id"])
     pids = window.column("partition_id").to_numpy(zero_copy_only=False)
     stats = {}
@@ -119,15 +128,29 @@ def _reduce_group(group_dir: str, data_dir: str) -> dict:
     return stats
 
 
+@ray.remote
+def _reduce_group(reduce, g: int, group_dir: str, out_dir: str) -> dict:
+    """``reduce(spills, out_dir, g)`` over the spills of group ``g``, read
+    as one table; ``{}`` when the group has none."""
+    spills = [pa.ipc.open_file(pa.memory_map(os.path.join(group_dir, n)))
+              .read_all() for n in sorted(os.listdir(group_dir))
+              if n.endswith(SPILL_SUFFIX)]
+    if not spills:
+        return {}
+    return reduce(pa.concat_tables(spills), out_dir, g)
+
+
 class WriterPool:
-    """The exchange of one job writing partitions under ``out_dir``: one
-    spill directory per group, handed to ``make_router``, and one reduce
+    """The exchange of one call writing under ``out_dir``: one spill
+    directory per group, handed to ``make_router``, and one ``reduce``
     task per group at ``finalize``."""
 
-    def __init__(self, out_dir: str, num_writers: int, dedup: bool = True):
+    def __init__(self, out_dir: str, num_writers: int, dedup: bool = True,
+                 reduce=write_partitions):
         # ``dedup`` is ignored (the reduce always dedups); it stays for
         # the call shape kgbench/tracing.py replays
         self.out_dir = out_dir
+        self.reduce = reduce
         self.spill_root = os.path.join(out_dir, "_spill")
         self.groups = [os.path.join(self.spill_root, f"g={g}")
                        for g in range(num_writers)]
@@ -138,10 +161,11 @@ class WriterPool:
         return list(self.groups)
 
     def finalize(self) -> dict:
-        """Reduce every group; return the per-partition counts. Raises if
-        a reduce fails. The spills are removed once read."""
-        stats = ray.get([_reduce_group.remote(g, self.out_dir)
-                         for g in self.groups])
+        """Reduce every group; return the union of the reduces' dicts.
+        Raises if a reduce fails. The spills are removed once read."""
+        stats = ray.get([
+            _reduce_group.remote(self.reduce, g, group_dir, self.out_dir)
+            for g, group_dir in enumerate(self.groups)])
         self.shutdown()
         return {pid: entry for st in stats for pid, entry in st.items()}
 
@@ -150,17 +174,37 @@ class WriterPool:
         shutil.rmtree(self.spill_root, ignore_errors=True)
 
 
-def make_router(handles: list, num_writers: int):
-    """The map-side function: writes each slice's rows as one spill per
-    group present, in the group's directory ``handles[g]``. Only the
-    output columns are spilled."""
+def partition_key(batch: pa.Table):
+    """The flagship's routing: the output columns, keyed by partition."""
+    return (batch.select(QUAD_SCHEMA.names),
+            batch.column("partition_id").to_numpy(zero_copy_only=False))
 
-    def route(batch: pa.Table) -> pa.Table:
+
+def subject_key(batch: pa.Table):
+    """The aggregates' routing: whole rows, keyed by a hash of
+    ``subject``. ``pd.util.hash_array`` uses a fixed key (Python's
+    ``hash`` is salted per process and would scatter a subject's rows
+    over groups); ``categorize=False`` hashes each value in full, where
+    its factorize step can give strings that differ only after a NUL
+    one hash."""
+    return batch, pd.util.hash_array(
+        batch.column("subject").to_numpy(zero_copy_only=False),
+        categorize=False)
+
+
+def make_router(handles: list, num_writers: int, key=partition_key):
+    """The map-side function: ``key(slice)`` gives the rows to spill and
+    their keys, and each group present gets one spill of its rows, in
+    its directory ``handles[g]``. The spill is called ``name`` (a map
+    task's read unit and slice), so routing the same slice again replaces
+    its spills; with no ``name``, each spill gets a random one."""
+
+    def route(batch: pa.Table, name: Optional[str] = None) -> pa.Table:
         if batch.num_rows:
-            groups = batch.column("partition_id").to_numpy(
-                zero_copy_only=False) % num_writers
-            for g, sub in _split(batch.select(QUAD_SCHEMA.names), groups):
-                _spill(handles[g], sub)
+            table, keys = key(batch)
+            groups = (keys % num_writers).astype(np.int64)
+            for g, sub in _split(table, groups):
+                _spill(handles[g], sub, name)
         return pa.table({"rows_routed": pa.array([batch.num_rows],
                                                  pa.int64())})
 

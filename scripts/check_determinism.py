@@ -4,7 +4,8 @@ guards against float-summation order leaking through rounding, the
 failure mode the driver's hash gate would flag as a flaky mismatch.
 ``kg_quads`` is in the default set too: two runs of the flagship sink must
 write the same rows, lineage included; so are ``kg_entity_summary`` and
-``kg_merged_nodes`` (one group-by shuffle each), the per-document views
+``kg_merged_nodes`` (on the flagship's exchange: map-side partials
+spilled per group, one reduce task per group), the per-document views
 ``kg_doc_status``, ``kg_doc_events`` and ``kg_canonical_nquads`` and the
 four ``jsonld_*_docs`` (projections written by the flagship's map tasks,
 one Parquet file per slice, and read back), and ``nquads_roundtrip``

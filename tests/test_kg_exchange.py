@@ -224,6 +224,13 @@ def test_router_sends_once_per_writer(tmp_path):
     # an empty slice writes nothing
     route(batch.slice(0, 0))
     assert all(len(os.listdir(h)) == 1 for h in handles)
+    # a slice routed again under its name (a retried map task's) replaces
+    # its spills; the unnamed route above gave each group a random name
+    route(batch, name="part-00003-00001")
+    route(batch, name="part-00003-00001")
+    assert all(_spills(h).count("part-00003-00001" + SPILL_SUFFIX) == 1
+               and len(_spills(h)) == 2 for h in handles)
+
 
 
 def test_writer_pool_matches_per_partition_routing(ray_session, tmp_path):
@@ -391,8 +398,8 @@ def test_failed_reduce_fails_the_job(ray_session, tmp_path, monkeypatch):
 
     class PlantedPool(WriterPool):
         # plants the file after run_kg_pipeline has cleared the data dir
-        def __init__(self, out_dir, num_writers):
-            super().__init__(out_dir, num_writers)
+        def __init__(self, out_dir, num_writers, **kwargs):
+            super().__init__(out_dir, num_writers, **kwargs)
             open(os.path.join(out_dir, f"partition_id={job_pid}"),
                  "w").close()
 
@@ -403,6 +410,73 @@ def test_failed_reduce_fails_the_job(ray_session, tmp_path, monkeypatch):
     assert not _job_committed(job_out)
     assert not os.path.exists(os.path.join(job_out, "quads", "_spill"))
 
+
+@pytest.mark.parametrize("module,query,failing", [
+    ("kg", "entity_summary", "_subject_doc_counts"),
+    ("kg", "entity_summary", "_per_subject"),
+    ("entity_link", "merge_entities", "partial_nodes_batch"),
+    ("entity_link", "merge_entities", "_merge_group"),
+], ids=["summary_map", "summary_reduce", "merge_map", "merge_reduce"])
+def test_failed_aggregate_task_fails_the_call(ray_session, tmp_path,
+                                              monkeypatch, module, query,
+                                              failing):
+    # the aggregates run on the flagship's exchange: a raising map-side
+    # combiner or reduce-side merge makes the call raise, and its spills
+    # are removed all the same
+    import importlib
+    mod = importlib.import_module(f"jsonld_js_ray.pipelines.{module}")
+
+    def planted(*args):
+        raise ValueError("planted aggregate failure")
+
+    monkeypatch.setattr(mod, failing, planted)
+    corpus = _corpus(tmp_path, generate_repo_files(200), n_files=2)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="planted aggregate failure"):
+        getattr(mod, query)(corpus, str(out), batch_size=64)
+    assert not os.path.exists(out / "_spill")
+
+
+
+@pytest.mark.parametrize("query", ["entity_summary", "merge_entities"])
+@pytest.mark.parametrize("replay", ["every_slice_twice", "worker_dies"])
+def test_rerouted_slice_is_counted_once(ray_session, tmp_path, monkeypatch,
+                                        query, replay):
+    # a map task that Ray retries routes its slices again: each spill is
+    # named by read unit and slice, so the retry's spills replace the
+    # first attempt's, and entity_summary's sums do not count them twice.
+    # "worker_dies": the first map task to spill a slice kills its worker
+    # process, and Ray reruns that task
+    import importlib
+
+    import pandas as pd
+    from jsonld_js_ray.pipelines import kg
+    run = getattr(importlib.import_module(
+        "jsonld_js_ray.pipelines." + ("kg" if query == "entity_summary"
+                                      else "entity_link")), query)
+    corpus = _corpus(tmp_path, generate_repo_files(200), n_files=2)
+
+    def rows(out):
+        df = run(corpus, str(tmp_path / out), batch_size=64).to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    clean = rows("clean")
+    died = str(tmp_path / "died")
+    route_quads = kg._route_quads
+
+    def reroute(batch, snapshot_ref, route, partial):
+        routed = route_quads(batch, snapshot_ref, route, partial=partial)
+        if replay == "every_slice_twice":
+            return route_quads(batch, snapshot_ref, route, partial=partial)
+        try:
+            os.close(os.open(died, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return routed
+        os._exit(1)
+
+    monkeypatch.setattr(kg, "_route_quads", reroute)
+    pd.testing.assert_frame_equal(rows("rerouted"), clean)
+    assert replay != "worker_dies" or os.path.exists(died)
 
 def _lineage_forks_table() -> pa.Table:
     """JSON-LD files copied into 8 forks at 3 commits each, the copies

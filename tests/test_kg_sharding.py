@@ -14,6 +14,7 @@ import pytest
 import ray
 
 from jsonld_js_ray.pipelines import kg
+from jsonld_js_ray.pipelines.entity_link import merge_entities
 from jsonld_js_ray.sources.contexts import build_context_snapshot
 from jsonld_js_ray.sources.repo_files import generate_repo_files
 from jsonld_js_ray.stages.expand_quads import expand_batch, status_batch
@@ -56,12 +57,33 @@ def test_output_does_not_depend_on_input_sharding(tmp_path, batch_size):
                              str(tmp_path / f"status{n_files}"),
                              batch_size=batch_size).to_pandas()
         status = sorted(map(tuple, status.astype(str).to_numpy()))
-        results[n_files] = (counts, rows, status)
-    counts, rows, status = results[1]
+        # the two aggregates, whose exchange keys on subject: copies of
+        # one document land in different units and slices
+        summary = kg.entity_summary(corpus, str(tmp_path / f"ent{n_files}"),
+                                    batch_size=batch_size).to_pandas()
+        nodes = merge_entities(corpus, str(tmp_path / f"nodes{n_files}"),
+                               batch_size=batch_size).to_pandas()
+        results[n_files] = (counts, rows, status, _row_list(summary),
+                            _row_list(nodes))
+    counts, rows, status, summary, nodes = results[1]
     assert sum(counts.values()) == len(rows) > 0
     assert len(status) == table.num_rows
     assert results[3] == results[1]
     assert results[8] == results[1]
+    # n_docs counts each subject's distinct contents, not its copies
+    quads = expand_batch(extract_batch(table), build_context_snapshot())
+    per_subject = quads.to_pandas().groupby("subject")
+    assert summary == _row_list(per_subject.agg(
+        n_quads=("content_sha256", "size"),
+        n_docs=("content_sha256", "nunique")).reset_index())
+    # copies: some subject has more quads than distinct documents
+    assert any(n_docs < n_quads for n_docs, n_quads, _ in summary)
+    assert len(nodes) == len(summary)
+
+
+def _row_list(df) -> list:
+    """``df``'s rows as sorted tuples, columns in name order."""
+    return sorted(map(tuple, df[sorted(df.columns)].to_numpy().tolist()))
 
 
 def test_read_units_are_files_or_one_per_cpu(tmp_path):
@@ -104,6 +126,13 @@ def test_input_of_no_rows_has_no_read_unit(tmp_path):
     summary = kg.run_kg_pipeline(corpus, str(tmp_path / "out"),
                                  resume=False)
     assert (summary["n_quads"], summary["n_partitions"]) == (0, 0)
+    # and empty aggregates with their columns
+    for query, columns in (
+            (kg.entity_summary, ["subject", "n_quads", "n_docs"]),
+            (merge_entities, ["graph", "subject", "node_json", "n_values"])):
+        out = query(corpus, str(tmp_path / query.__name__))
+        assert out.columns() == columns
+        assert out.count() == 0
 
 
 def test_view_without_jsonld_is_empty_with_the_view_columns(tmp_path):

@@ -364,29 +364,30 @@ class TestRayPipeline:
         assert m2 == m1
 
     def test_entity_summary(self, tmp_path):
-        from jsonld_js_ray.pipelines.kg import entity_summary, map_docs
+        from jsonld_js_ray.pipelines.kg import entity_summary
         from jsonld_js_ray.sources.repo_files import repo_files_path
-        from jsonld_js_ray.stages.expand_quads import expand_batch
-        quads = map_docs(repo_files_path(0.0003), expand_batch,
-                         str(tmp_path / "quads"))
-        ent = entity_summary(quads).to_pandas()
+        ent = entity_summary(repo_files_path(0.0003),
+                             str(tmp_path / "ent")).to_pandas()
         assert (ent["n_quads"] > 0).all()
         assert ent["subject"].is_unique
 
-    def test_entity_summary_partition_invariant(self):
-        # one document's quads split over many blocks must still count
-        # n_docs=1 (per-batch nunique summed globally would give
-        # n_docs = number of blocks)
-        import pandas as pd
-        import ray.data as rd
+    def test_entity_summary_partition_invariant(self, tmp_path):
+        # one document in 12 rows, read as 4 units of 3 rows in slices of
+        # 1, 4 or 1024 rows: its (subject, doc) partials reach the
+        # exchange from many slices and units, and each subject must
+        # still count n_docs=1 (a per-slice count summed globally would
+        # count it once per slice)
         from jsonld_js_ray.pipelines.kg import entity_summary
-        df = pd.DataFrame({"subject": ["s"] * 8,
-                           "content_sha256": ["doc1"] * 8})
-        for nblocks in (1, 4, 8):
-            out = entity_summary(
-                rd.from_pandas(df).repartition(nblocks)).to_pandas()
-            assert out.to_dict("records") == [
-                {"subject": "s", "n_quads": 8, "n_docs": 1}]
+        corpus, table = _copies_corpus(tmp_path)
+        one_copy = ExpandToQuads()(extract_batch(table.slice(0, 1)))
+        per_copy = one_copy.to_pandas().groupby("subject").size()
+        assert len(per_copy) > 1
+        for batch_size in (1, 4, 1024):
+            out = entity_summary(corpus, str(tmp_path / f"ent{batch_size}"),
+                                 batch_size=batch_size).to_pandas()
+            assert {s: (q, d) for s, q, d in zip(
+                out["subject"], out["n_quads"], out["n_docs"])} == {
+                s: (_COPIES * n, 1) for s, n in per_copy.items()}
 
     def test_doc_status_quarantine(self, tmp_path):
         import pyarrow as pa
@@ -446,37 +447,109 @@ class TestEntityLink:
             props.setdefault(row.predicate, set()).add(tup)
         return nodes
 
-    def test_merge_matches_scalar_reference(self):
-        import json
-        import ray.data as rd
-        from jsonld_js_ray.pipelines.entity_link import merge_entities
-        df = self._quads_df()
-        out = merge_entities(rd.from_pandas(df)).to_pandas()
-        ref = self._scalar_reference_merge(df)
-        assert len(out) == len(ref)
-        for row in out.itertuples(index=False):
-            node = json.loads(row.node_json)
-            refprops = ref[(row.graph, row.subject)]
-            # per property: the merged value multiset equals the
-            # distinct tuple set (duplicates collapsed exactly once)
-            got = {p: len(v) for p, v in node.items() if p != "@id"}
-            want = {p: len(v) for p, v in refprops.items()}
-            assert got == want, (row.subject, got, want)
-            assert row.n_values == sum(want.values())
+    def _merge_in_chunks(self, df, n_chunks, n_groups=3):
+        """The exchange's steps without Ray: ``partial_nodes_batch`` per
+        chunk of rows, the partials routed by subject into ``n_groups``
+        groups, one ``_merge_group`` per group."""
+        import pandas as pd
+        import pyarrow as pa
+        from jsonld_js_ray.pipelines.entity_link import (
+            _merge_group, partial_nodes_batch)
+        from jsonld_js_ray.stages.partition_sink import subject_key
+        table = pa.Table.from_pandas(df, preserve_index=False)
+        step = -(-table.num_rows // n_chunks)
+        partials = pa.concat_tables(
+            partial_nodes_batch(table.slice(i, step))
+            for i in range(0, table.num_rows, step))
+        _, keys = subject_key(partials)
+        return pd.concat([
+            _merge_group(partials.filter(pa.array(keys % n_groups == g)))
+            .to_pandas() for g in range(n_groups)])
 
-    def test_merge_partition_invariant(self):
-        import ray.data as rd
-        from jsonld_js_ray.pipelines.entity_link import merge_entities
+    def test_merge_matches_scalar_reference(self):
         df = self._quads_df()
-        outs = []
-        for nblocks in (1, 3, 8):
-            out = (merge_entities(rd.from_pandas(df).repartition(nblocks))
+        ref = self._scalar_reference_merge(df)
+        for n_chunks in (1, 3, 8):
+            out = self._merge_in_chunks(df, n_chunks)
+            assert len(out) == len(ref)
+            for row in out.itertuples(index=False):
+                node = json.loads(row.node_json)
+                refprops = ref[(row.graph, row.subject)]
+                # per property: the merged value multiset equals the
+                # distinct tuple set (duplicates collapsed exactly once)
+                got = {p: len(v) for p, v in node.items() if p != "@id"}
+                want = {p: len(v) for p, v in refprops.items()}
+                assert got == want, (n_chunks, row.subject, got, want)
+                assert row.n_values == sum(want.values())
+
+    @pytest.mark.usefixtures("ray_session")
+    def test_merge_partition_invariant(self, tmp_path):
+        # one document in 12 rows, read as 4 units of 3 rows in slices of
+        # 1, 4 or 1024 rows: every node is merged once, to the merge of
+        # all the rows' quads at once
+        from jsonld_js_ray.pipelines.entity_link import (
+            _merge_group, merge_entities)
+        corpus, table = _copies_corpus(tmp_path)
+        quads = ExpandToQuads()(extract_batch(table))
+        want = _merge_group(quads).to_pandas().sort_values(
+            ["graph", "subject"]).reset_index(drop=True)
+        assert (want["n_values"] > 0).all() and len(want) > 1
+        for batch_size in (1, 4, 1024):
+            out = (merge_entities(corpus, str(tmp_path / f"m{batch_size}"),
+                                  batch_size=batch_size)
                    .to_pandas()
                    .sort_values(["graph", "subject"])
                    .reset_index(drop=True))
-            outs.append(out)
-        assert outs[0].equals(outs[1])
-        assert outs[0].equals(outs[2])
+            assert out.equals(want)
+
+
+_COPIES = 12
+
+
+def _copies_corpus(tmp_path):
+    """One JSON-LD document committed to ``_COPIES`` repos, as 3 files:
+    on 4 CPUs, 4 read units of 3 rows each."""
+    import pyarrow as pa
+    from tests.test_kg_exchange import SHARED_DOC, _corpus
+    table = pa.table({"repo": [f"forks/r{i}" for i in range(_COPIES)],
+                      "path": ["thing.jsonld"] * _COPIES,
+                      "commit": ["c0"] * _COPIES,
+                      "lang": ["jsonld"] * _COPIES,
+                      "content": [SHARED_DOC] * _COPIES},
+                     schema=generate_repo_files(1).schema)
+    return _corpus(tmp_path, table, n_files=3), table
+
+
+def test_aggregate_dirs_hold_only_their_parts(ray_session, tmp_path,
+                                             monkeypatch):
+    """``kg_entity_summary`` and ``kg_merged_nodes`` leave in their dir
+    only the reduces' ``part-<g>.parquet`` files: no spills and no
+    per-slice quad files. The files carry no schema metadata, which
+    makes Ray's read log "Failed to hash the schemas"."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    import __ray_entry__
+    from jsonld_js_ray.pipelines.kg import (exchange_groups,
+                                            repo_files_for_sf_dir)
+    monkeypatch.setattr(__ray_entry__, "_TMP_ROOT", None)
+    sf_dir = str(tmp_path / "sf0.001")
+    groups = exchange_groups(repo_files_for_sf_dir(sf_dir))
+    for name, prefix in (("kg_entity_summary", "kg_entity_summary_"),
+                         ("kg_merged_nodes", "kg_nodes_")):
+        out = __ray_entry__.queries()[name](sf_dir).to_pandas()
+        assert len(out) == 1290
+        root = __ray_entry__._TMP_ROOT
+        dirs = [d for d in os.listdir(root) if d.startswith(prefix)]
+        assert len(dirs) == 1
+        names = sorted(os.listdir(os.path.join(root, dirs[0])))
+        assert names and len(names) <= groups
+        assert all(n.startswith("part-") and n.endswith(".parquet")
+                   for n in names)
+        assert all(pq.read_schema(os.path.join(root, dirs[0], n)).metadata
+                   is None for n in names)
+    __ray_entry__._remove_tmp_root()
 
 
 def test_query_dirs_share_one_root_that_cleanup_removes(ray_session,
