@@ -121,10 +121,10 @@ def _merge_group(partials: pa.Table) -> pa.Table:
     return _node_json_rows(merged)
 
 
-def merge_entities(input_path: str, out_dir: str, batch_size: int = 1024):
+def merge_entities(input_path: str, out_dir: str):
     """The quads of the repo files of ``input_path`` merged into nodes
     (``NODE_SCHEMA``: graph, subject, node_json, n_values), written under
     ``out_dir`` and read back. The exchange moves deduplicated value
     rows, not quad occurrences."""
     return aggregate(input_path, out_dir, partial_nodes_batch,
-                     subject_key, _merge_group, batch_size)
+                     subject_key, _merge_group)

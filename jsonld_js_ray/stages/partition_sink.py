@@ -2,7 +2,7 @@
 per group (a two-phase file exchange).
 
 It has three users, which all run it through ``pipelines/kg.exchange``
-with G = ``exchange_groups`` groups:
+with the G groups of ``pipelines/kg.plan``:
 
 - the flagship, ``run_kg_pipeline``: spills keyed by ``partition_id``
   (``partition_key``), reduced by ``write_partitions``;
@@ -12,8 +12,8 @@ with G = ``exchange_groups`` groups:
   by subject too: a node is a (graph, subject), so all of its rows still
   meet in one group.
 
-Map side: ``make_router`` returns the function that ends each map task
-(one plain Ray task per read unit, pipelines/kg.py). It splits each
+Map side: ``make_router`` returns the function that ends each slice of
+a map task (one plain Ray task per read unit, pipelines/kg.py). It splits each
 slice by group ``g = key % G`` and writes each group's rows as one spill
 file (Arrow IPC) under ``<data_dir>/_spill/g=<g>/``, named by the map
 task's read unit and slice (``part-<unit>-<slice>.arrow``). A spill is
@@ -199,13 +199,11 @@ def make_router(handles: list, num_writers: int, key=partition_key):
     task's read unit and slice), so routing the same slice again replaces
     its spills; with no ``name``, each spill gets a random one."""
 
-    def route(batch: pa.Table, name: Optional[str] = None) -> pa.Table:
+    def route(batch: pa.Table, name: Optional[str] = None) -> None:
         if batch.num_rows:
             table, keys = key(batch)
             groups = (keys % num_writers).astype(np.int64)
             for g, sub in _split(table, groups):
                 _spill(handles[g], sub, name)
-        return pa.table({"rows_routed": pa.array([batch.num_rows],
-                                                 pa.int64())})
 
     return route

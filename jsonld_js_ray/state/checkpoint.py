@@ -40,11 +40,12 @@ def input_files(input_path: str) -> list[tuple[str, str]]:
     return sorted(files)
 
 
-def input_fingerprint(input_path: str, num_partitions: int) -> str:
+def input_fingerprint(files: list[tuple[str, str]],
+                      num_partitions: int) -> str:
     """sha256 over the (relative path, byte size, mtime_ns) of each of
-    ``input_files(input_path)``, plus ``num_partitions``."""
+    ``files`` (an ``input_files`` listing), plus ``num_partitions``."""
     h = hashlib.sha256(f"num_partitions={num_partitions}".encode())
-    for rel, path in input_files(input_path):
+    for rel, path in files:
         st = os.stat(path)
         h.update(f"\0{rel}\0{st.st_size}\0{st.st_mtime_ns}".encode())
     return h.hexdigest()

@@ -11,6 +11,7 @@ import pytest
 
 from jsonld_js_ray.pipelines import kg
 from jsonld_js_ray.sources.repo_files import repo_files_path_n
+from jsonld_js_ray.state import checkpoint
 from tests.test_kg_exchange import _written_pairs
 
 pytestmark = pytest.mark.usefixtures("ray_session")
@@ -63,7 +64,7 @@ def test_rerun_on_committed_output_returns_its_summary(tmp_path,
 
     # the hook sees the launches of a job that does run
     kg.run_kg_pipeline(corpus, out, resume=False)
-    assert len(launched) == len(kg.read_units(corpus))
+    assert len(launched) == len(kg.plan(checkpoint.input_files(corpus))[0])
 
 
 def test_other_corpus_into_committed_output_equals_clean_run(tmp_path):

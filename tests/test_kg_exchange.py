@@ -209,8 +209,7 @@ def test_router_sends_once_per_writer(tmp_path):
     for group_dir in handles:
         group_dir.mkdir()
     route = make_router([str(h) for h in handles], num_writers)
-    out = route(batch)
-    assert out.column("rows_routed").to_pylist() == [batch.num_rows]
+    route(batch)
     rows = 0
     for g, group_dir in enumerate(handles):
         names = os.listdir(group_dir)
@@ -256,15 +255,16 @@ def test_writer_pool_matches_per_partition_routing(ray_session, tmp_path):
 
 @pytest.mark.parametrize("batch_size", [64, 1024])
 def test_shared_document_reaches_both_fork_partitions(ray_session, tmp_path,
+                                                      monkeypatch,
                                                       batch_size):
-    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    from jsonld_js_ray.pipelines import kg
+    monkeypatch.setattr(kg, "BATCH_SIZE", batch_size)
     table = _forks_table()
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     pq.write_table(table, str(corpus / "part-0.parquet"))
     out = str(tmp_path / "out")
-    summary = run_kg_pipeline(str(corpus), out, batch_size=batch_size,
-                              resume=False)
+    summary = kg.run_kg_pipeline(str(corpus), out, resume=False)
     written = pads.dataset(out + "/quads", partitioning="hive").to_table()
     assert written.num_rows == summary["n_quads"]
     shared = eq.ExpandToQuads()(extract_batch(table.slice(0, 1)))
@@ -424,16 +424,19 @@ def test_failed_aggregate_task_fails_the_call(ray_session, tmp_path,
     # combiner or reduce-side merge makes the call raise, and its spills
     # are removed all the same
     import importlib
+
+    from jsonld_js_ray.pipelines import kg
     mod = importlib.import_module(f"jsonld_js_ray.pipelines.{module}")
 
     def planted(*args):
         raise ValueError("planted aggregate failure")
 
     monkeypatch.setattr(mod, failing, planted)
+    monkeypatch.setattr(kg, "BATCH_SIZE", 64)
     corpus = _corpus(tmp_path, generate_repo_files(200), n_files=2)
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="planted aggregate failure"):
-        getattr(mod, query)(corpus, str(out), batch_size=64)
+        getattr(mod, query)(corpus, str(out))
     assert not os.path.exists(out / "_spill")
 
 
@@ -455,23 +458,25 @@ def test_rerouted_slice_is_counted_once(ray_session, tmp_path, monkeypatch,
         "jsonld_js_ray.pipelines." + ("kg" if query == "entity_summary"
                                       else "entity_link")), query)
     corpus = _corpus(tmp_path, generate_repo_files(200), n_files=2)
+    monkeypatch.setattr(kg, "BATCH_SIZE", 64)
 
     def rows(out):
-        df = run(corpus, str(tmp_path / out), batch_size=64).to_pandas()
+        df = run(corpus, str(tmp_path / out)).to_pandas()
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
     clean = rows("clean")
     died = str(tmp_path / "died")
     route_quads = kg._route_quads
 
-    def reroute(batch, snapshot_ref, route, partial):
-        routed = route_quads(batch, snapshot_ref, route, partial=partial)
+    def reroute(batch, snapshot_ref, name, route, partial):
+        route_quads(batch, snapshot_ref, name, route, partial=partial)
         if replay == "every_slice_twice":
-            return route_quads(batch, snapshot_ref, route, partial=partial)
+            route_quads(batch, snapshot_ref, name, route, partial=partial)
+            return
         try:
             os.close(os.open(died, os.O_CREAT | os.O_EXCL))
         except FileExistsError:
-            return routed
+            return
         os._exit(1)
 
     monkeypatch.setattr(kg, "_route_quads", reroute)
@@ -511,11 +516,12 @@ def _lineage_rows(table: pa.Table) -> set:
 
 
 def test_written_lineage_is_the_least_copy_at_any_batch_size(ray_session,
-                                                             tmp_path):
+                                                             tmp_path,
+                                                             monkeypatch):
     # copies of one file at different forks and commits tie on
     # (content_sha256, path); the winner order must still pick one copy
     # whatever the batch boundaries and arrival order
-    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    from jsonld_js_ray.pipelines import kg
     table = _lineage_forks_table()
     # three files: their read tasks run in parallel, so copies reach the
     # writers in no fixed order
@@ -523,7 +529,8 @@ def test_written_lineage_is_the_least_copy_at_any_batch_size(ray_session,
     written = {}
     for batch_size in (64, 1024):
         out = str(tmp_path / f"bs{batch_size}")
-        run_kg_pipeline(corpus, out, batch_size=batch_size, resume=False)
+        monkeypatch.setattr(kg, "BATCH_SIZE", batch_size)
+        kg.run_kg_pipeline(corpus, out, resume=False)
         written[batch_size] = _lineage_rows(
             pads.dataset(out + "/quads", partitioning="hive").to_table())
     assert written[64] == written[1024]
@@ -545,17 +552,17 @@ def test_written_lineage_is_the_least_copy_at_any_batch_size(ray_session,
 def test_exchange_groups_grow_with_input_bytes(tmp_path, monkeypatch):
     from jsonld_js_ray.pipelines import kg
     corpus = _corpus(tmp_path, generate_repo_files(200), n_files=2)
-    size = sum(os.path.getsize(p)
-               for _, p in checkpoint.input_files(corpus))
+    files = checkpoint.input_files(corpus)
+    size = sum(os.path.getsize(p) for _, p in files)
     monkeypatch.setattr(kg, "cluster_cpus", lambda: 4)
     # a small input: one group per CPU
-    assert kg.exchange_groups(corpus) == 4
+    assert kg.plan(files)[1] == 4
     # past CPUs x GROUP_INPUT_BYTES: one group per GROUP_INPUT_BYTES
     monkeypatch.setattr(kg, "GROUP_INPUT_BYTES", size // 10)
-    assert kg.exchange_groups(corpus) == -(-size // (size // 10)) > 4
+    assert kg.plan(files)[1] == -(-size // (size // 10)) > 4
     # never more groups than partitions
     monkeypatch.setattr(kg, "GROUP_INPUT_BYTES", 1)
-    assert kg.exchange_groups(corpus) == kg.DEFAULT_PARTITIONS
+    assert kg.plan(files)[1] == kg.DEFAULT_PARTITIONS
 
 
 def test_two_jobs_match_and_leave_no_actor(ray_session, tmp_path):

@@ -53,9 +53,9 @@ def wait_for_all_units(run):
         time.sleep(0.05)
 
 
-def route_once_all_started(batch, snapshot_ref, route):
+def route_once_all_started(batch, snapshot_ref, name, route):
     wait_for_all_units("job")
-    return route_quads(batch, snapshot_ref, route)
+    route_quads(batch, snapshot_ref, name, route)
 
 
 def status_once_all_started(batch, snapshot_ref):
@@ -113,7 +113,7 @@ def test_failed_map_unit_stops_the_others_before_clean_up(
     entered_dir, routed_dir = str(entered), str(routed)
     route_quads = kg._route_quads
 
-    def route_or_raise(batch, snapshot_ref, route):
+    def route_or_raise(batch, snapshot_ref, name, route):
         if batch.column("repo")[0].as_py() == "planted/failing":
             # fail once another unit is mid-slice; the session may have
             # fewer free CPUs than units, so not all of them need be
@@ -132,11 +132,12 @@ def test_failed_map_unit_stops_the_others_before_clean_up(
         time.sleep(0.5)
         with open(os.path.join(routed_dir, uuid.uuid4().hex), "w") as fh:
             fh.write(repr(time.time()))
-        return route_quads(batch, snapshot_ref, route)
+        route_quads(batch, snapshot_ref, name, route)
 
     monkeypatch.setattr(kg, "_route_quads", route_or_raise)
+    monkeypatch.setattr(kg, "BATCH_SIZE", 10)
     with pytest.raises(ValueError, match="planted map failure"):
-        kg.run_kg_pipeline(corpus, out, batch_size=10, resume=False)
+        kg.run_kg_pipeline(corpus, out, resume=False)
     returned = time.time()
     # longer than a unit that never sees the stop file holds its slice
     time.sleep(6)

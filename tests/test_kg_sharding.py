@@ -1,8 +1,9 @@
 """The KG read's units and the in-task kernel batch: the output must not
 depend on how the input is sharded into files, an input with at least as
 many files as CPUs must be read one unit per file, and the kernel must
-see at most ``batch_size`` rows at a time. The views (``map_docs``) run
-in the same map tasks and read their slice files back."""
+see at most ``BATCH_SIZE`` rows at a time. Each call lists its input and
+reads the CPU count once (``kg.plan``). The views (``map_docs``) run in
+the same map tasks and read their slice files back."""
 
 import os
 
@@ -27,6 +28,10 @@ from tests.test_kg_exchange import (_corpus, _lineage_forks_table,
 pytestmark = pytest.mark.usefixtures("ray_session")
 
 
+def _units(corpus: str) -> list:
+    return kg.plan(checkpoint.input_files(corpus))[0]
+
+
 def _sharded(tmp_path, table: pa.Table, n_files: int) -> str:
     """``table`` as ``n_files`` Parquet files in a fresh directory."""
     home = tmp_path / f"files{n_files}"
@@ -35,7 +40,8 @@ def _sharded(tmp_path, table: pa.Table, n_files: int) -> str:
 
 
 @pytest.mark.parametrize("batch_size", [64, 1024])
-def test_output_does_not_depend_on_input_sharding(tmp_path, batch_size):
+def test_output_does_not_depend_on_input_sharding(tmp_path, monkeypatch,
+                                                  batch_size):
     # 1 and 3 files: the rows are cut into one range per CPU (4 read
     # units on 4 CPUs); 8 files: one unit per file. The file
     # count is what sets how many map tasks run, so this is also the
@@ -43,26 +49,25 @@ def test_output_does_not_depend_on_input_sharding(tmp_path, batch_size):
     assert 3 < cluster_cpus() <= 8
     # copies across forks and commits, so the winner rule decides rows
     table = _lineage_forks_table()
+    monkeypatch.setattr(kg, "BATCH_SIZE", batch_size)
     results = {}
     for n_files in (1, 3, 8):
         corpus = _sharded(tmp_path, table, n_files)
         out = str(tmp_path / f"out{n_files}")
-        kg.run_kg_pipeline(corpus, out, batch_size=batch_size,
-                           resume=False)
+        kg.run_kg_pipeline(corpus, out, resume=False)
         counts = {e["partition_id"]: e["n_quads"]
                   for e in checkpoint.read_entries(out)}
         rows = _lineage_rows(
             pads.dataset(out + "/quads", partitioning="hive").to_table())
         status = kg.map_docs(corpus, status_batch,
-                             str(tmp_path / f"status{n_files}"),
-                             batch_size=batch_size).to_pandas()
+                             str(tmp_path / f"status{n_files}")).to_pandas()
         status = sorted(map(tuple, status.astype(str).to_numpy()))
         # the two aggregates, whose exchange keys on subject: copies of
         # one document land in different units and slices
-        summary = kg.entity_summary(corpus, str(tmp_path / f"ent{n_files}"),
-                                    batch_size=batch_size).to_pandas()
-        nodes = merge_entities(corpus, str(tmp_path / f"nodes{n_files}"),
-                               batch_size=batch_size).to_pandas()
+        summary = kg.entity_summary(
+            corpus, str(tmp_path / f"ent{n_files}")).to_pandas()
+        nodes = merge_entities(
+            corpus, str(tmp_path / f"nodes{n_files}")).to_pandas()
         results[n_files] = (counts, rows, status, _row_list(summary),
                             _row_list(nodes))
     counts, rows, status, summary, nodes = results[1]
@@ -89,7 +94,7 @@ def _row_list(df) -> list:
 def test_read_units_are_files_or_one_per_cpu(tmp_path):
     table = generate_repo_files(200)
     corpus = _sharded(tmp_path, table, cluster_cpus())
-    assert kg.read_units(corpus) == [
+    assert _units(corpus) == [
         [(path, 0, pq.read_metadata(path).num_rows)]
         for _, path in checkpoint.input_files(corpus)]
 
@@ -98,7 +103,7 @@ def test_read_units_are_files_or_one_per_cpu(tmp_path):
     # batch_size rows
     bounds = [200 * k // cluster_cpus() for k in range(cluster_cpus() + 1)]
     for n_files in (1, 3):
-        units = kg.read_units(_sharded(tmp_path, table, n_files))
+        units = _units(_sharded(tmp_path, table, n_files))
         for batch_size in (16, 1024):
             read = [list(kg.read_unit(unit, batch_size)) for unit in units]
             assert max(t.num_rows for r in read for t in r) <= batch_size
@@ -118,7 +123,7 @@ def _view_columns(task) -> list:
 
 def test_input_of_no_rows_has_no_read_unit(tmp_path):
     corpus = _sharded(tmp_path, generate_repo_files(10).slice(0, 0), 1)
-    assert kg.read_units(corpus) == []
+    assert _units(corpus) == []
     # an empty view with the view's columns
     status = kg.map_docs(corpus, status_batch, str(tmp_path / "status"))
     assert status.columns() == _view_columns(status_batch)
@@ -146,25 +151,27 @@ def test_view_without_jsonld_is_empty_with_the_view_columns(tmp_path):
     assert quads.count() == 0
 
 
-def test_view_slice_files_are_named_by_unit_and_slice(tmp_path):
+def test_view_slice_files_are_named_by_unit_and_slice(tmp_path,
+                                                      monkeypatch):
     # 2 files on 4 CPUs: 4 units of 50 rows, in slices of at most 32
     corpus = _sharded(tmp_path, generate_repo_files(200), 2)
+    monkeypatch.setattr(kg, "BATCH_SIZE", 32)
     runs = []
     for run in ("a", "b"):
         out = str(tmp_path / run)
-        ds = kg.map_docs(corpus, status_batch, out, batch_size=32)
+        ds = kg.map_docs(corpus, status_batch, out)
         blocks = sorted(repr(ray.get(ref).to_pylist())
                         for ref in ds.to_arrow_refs())
         runs.append((sorted(os.listdir(out)), blocks))
     assert runs[0][0] == [
         f"part-{k:05d}-{i:05d}.parquet"
-        for k, unit in enumerate(kg.read_units(corpus))
+        for k, unit in enumerate(_units(corpus))
         for i, _ in enumerate(kg.read_unit(unit, 32))]
     # two runs read back the same blocks
     assert runs[1] == runs[0]
 
 
-def test_kg_map_hands_the_kernel_batch_size_rows(tmp_path):
+def test_kg_map_hands_the_kernel_batch_size_rows(tmp_path, monkeypatch):
     # one unit per file; the first file holds 3000 rows
     table = generate_repo_files(3000 + 10 * (cluster_cpus() - 1))
     corpus = tmp_path / "corpus"
@@ -175,15 +182,64 @@ def test_kg_map_hands_the_kernel_batch_size_rows(tmp_path):
                        corpus / f"part-{k}.parquet")
 
     def recording_route_quads(batch, snapshot_ref):
-        def route(quads):
+        seen = []
+
+        def route(quads, name):
             # nothing downstream reads a quad hash, so the map computes
             # none
-            return pa.table({"rows": [batch.num_rows], "quad_hash": [
-                "quad_hash2" in quads.column_names]})
-        return kg._route_quads(batch, snapshot_ref, route)
+            seen.append(pa.table({"rows": [batch.num_rows], "quad_hash": [
+                "quad_hash2" in quads.column_names]}))
+        kg._route_quads(batch, snapshot_ref, "slice", route)
+        return seen[0]
 
+    monkeypatch.setattr(kg, "BATCH_SIZE", 1024)
     seen = kg.map_docs(str(corpus), recording_route_quads,
-                       str(tmp_path / "seen"), batch_size=1024).to_pandas()
+                       str(tmp_path / "seen")).to_pandas()
     assert sorted(seen["rows"]) == sorted(
         [1024, 1024, 952] + [10] * (cluster_cpus() - 1))
     assert not seen["quad_hash"].any()
+
+
+def test_units_cover_every_row_once_when_the_cpu_count_changes(
+        tmp_path, monkeypatch):
+    # a CPU count that reads 4 twice and then 8, as when a node joins
+    # during a call: the call sizes itself from one reading, so its units
+    # still read every input row exactly once
+    readings = iter([4, 4])
+    monkeypatch.setattr(kg, "cluster_cpus", lambda: next(readings, 8))
+    table = generate_repo_files(1000)
+    corpus = _sharded(tmp_path, table, 1)
+    status = kg.map_docs(corpus, status_batch,
+                         str(tmp_path / "status")).to_pandas()
+    key = ["repo", "path", "commit"]
+    assert _row_list(status[key]) == _row_list(table.select(key).to_pandas())
+
+
+@pytest.mark.parametrize("call", ["run_kg_pipeline", "map_docs",
+                                  "entity_summary", "merge_entities"])
+def test_each_call_lists_its_input_and_reads_the_cpus_once(
+        tmp_path, monkeypatch, call):
+    reads = {"input_files": 0, "cluster_cpus": 0}
+
+    def counted(name, fn):
+        def read(*args):
+            reads[name] += 1
+            return fn(*args)
+        return read
+
+    monkeypatch.setattr(checkpoint, "input_files",
+                        counted("input_files", checkpoint.input_files))
+    monkeypatch.setattr(kg, "cluster_cpus",
+                        counted("cluster_cpus", kg.cluster_cpus))
+    corpus = _sharded(tmp_path, generate_repo_files(200), 1)
+    out = str(tmp_path / "out")
+    {"run_kg_pipeline": lambda: kg.run_kg_pipeline(corpus, out),
+     "map_docs": lambda: kg.map_docs(corpus, status_batch, out),
+     "entity_summary": lambda: kg.entity_summary(corpus, out),
+     "merge_entities": lambda: merge_entities(corpus, out)}[call]()
+    assert reads == {"input_files": 1, "cluster_cpus": 1}
+    if call == "run_kg_pipeline":
+        # a committed rerun lists the input to fingerprint it, and sizes
+        # nothing
+        kg.run_kg_pipeline(corpus, out)
+        assert reads == {"input_files": 2, "cluster_cpus": 1}

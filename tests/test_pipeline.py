@@ -371,20 +371,22 @@ class TestRayPipeline:
         assert (ent["n_quads"] > 0).all()
         assert ent["subject"].is_unique
 
-    def test_entity_summary_partition_invariant(self, tmp_path):
+    def test_entity_summary_partition_invariant(self, tmp_path,
+                                                monkeypatch):
         # one document in 12 rows, read as 4 units of 3 rows in slices of
         # 1, 4 or 1024 rows: its (subject, doc) partials reach the
         # exchange from many slices and units, and each subject must
         # still count n_docs=1 (a per-slice count summed globally would
         # count it once per slice)
-        from jsonld_js_ray.pipelines.kg import entity_summary
+        from jsonld_js_ray.pipelines import kg
         corpus, table = _copies_corpus(tmp_path)
         one_copy = ExpandToQuads()(extract_batch(table.slice(0, 1)))
         per_copy = one_copy.to_pandas().groupby("subject").size()
         assert len(per_copy) > 1
         for batch_size in (1, 4, 1024):
-            out = entity_summary(corpus, str(tmp_path / f"ent{batch_size}"),
-                                 batch_size=batch_size).to_pandas()
+            monkeypatch.setattr(kg, "BATCH_SIZE", batch_size)
+            out = kg.entity_summary(
+                corpus, str(tmp_path / f"ent{batch_size}")).to_pandas()
             assert {s: (q, d) for s, q, d in zip(
                 out["subject"], out["n_quads"], out["n_docs"])} == {
                 s: (_COPIES * n, 1) for s, n in per_copy.items()}
@@ -483,10 +485,11 @@ class TestEntityLink:
                 assert row.n_values == sum(want.values())
 
     @pytest.mark.usefixtures("ray_session")
-    def test_merge_partition_invariant(self, tmp_path):
+    def test_merge_partition_invariant(self, tmp_path, monkeypatch):
         # one document in 12 rows, read as 4 units of 3 rows in slices of
         # 1, 4 or 1024 rows: every node is merged once, to the merge of
         # all the rows' quads at once
+        from jsonld_js_ray.pipelines import kg
         from jsonld_js_ray.pipelines.entity_link import (
             _merge_group, merge_entities)
         corpus, table = _copies_corpus(tmp_path)
@@ -495,8 +498,8 @@ class TestEntityLink:
             ["graph", "subject"]).reset_index(drop=True)
         assert (want["n_values"] > 0).all() and len(want) > 1
         for batch_size in (1, 4, 1024):
-            out = (merge_entities(corpus, str(tmp_path / f"m{batch_size}"),
-                                  batch_size=batch_size)
+            monkeypatch.setattr(kg, "BATCH_SIZE", batch_size)
+            out = (merge_entities(corpus, str(tmp_path / f"m{batch_size}"))
                    .to_pandas()
                    .sort_values(["graph", "subject"])
                    .reset_index(drop=True))
@@ -531,11 +534,11 @@ def test_aggregate_dirs_hold_only_their_parts(ray_session, tmp_path,
     import pyarrow.parquet as pq
 
     import __ray_entry__
-    from jsonld_js_ray.pipelines.kg import (exchange_groups,
-                                            repo_files_for_sf_dir)
+    from jsonld_js_ray.pipelines.kg import plan, repo_files_for_sf_dir
+    from jsonld_js_ray.state import checkpoint
     monkeypatch.setattr(__ray_entry__, "_TMP_ROOT", None)
     sf_dir = str(tmp_path / "sf0.001")
-    groups = exchange_groups(repo_files_for_sf_dir(sf_dir))
+    groups = plan(checkpoint.input_files(repo_files_for_sf_dir(sf_dir)))[1]
     for name, prefix in (("kg_entity_summary", "kg_entity_summary_"),
                          ("kg_merged_nodes", "kg_nodes_")):
         out = __ray_entry__.queries()[name](sf_dir).to_pandas()

@@ -50,10 +50,9 @@ if kill_point == "mid_stream":
     # runs in the map tasks: route the first slice, then block
     route_quads = kg._route_quads
 
-    def route_then_block(batch, snapshot_ref, route):
-        routed = route_quads(batch, snapshot_ref, route)
+    def route_then_block(batch, snapshot_ref, name, route):
+        route_quads(batch, snapshot_ref, name, route)
         block_here()
-        return routed
 
     kg._route_quads = route_then_block
 else:
@@ -67,7 +66,8 @@ else:
     checkpoint.write_partition_entry = write_then_block
 
 corpus = repo_files_path_n(2000)
-m = kg.run_kg_pipeline(corpus, out_dir, batch_size=64)
+kg.BATCH_SIZE = 64
+m = kg.run_kg_pipeline(corpus, out_dir)
 print("DONE", m["n_quads"], flush=True)
 ray.shutdown()
 """
