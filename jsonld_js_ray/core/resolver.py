@@ -3,8 +3,8 @@
 Replaces the reference's HTTP document loader + ContextResolver
 (/root/reference/lib/documentLoaders/node.js:34-199,
 lib/ContextResolver.js:20-211) with an offline snapshot: a plain dict of
-``url -> context document (parsed JSON)`` shipped to every Ray actor via
-``ray.put`` broadcast (SURVEY.md §2.3/§2.4 — schema.org-style contexts are
+``url -> context document (parsed JSON)`` that each Ray worker process
+builds once for itself (SURVEY.md §2.3/§2.4 — schema.org-style contexts are
 the skewed hot keys; they are resolved once per worker, never per row).
 """
 

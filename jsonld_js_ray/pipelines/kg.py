@@ -2,8 +2,8 @@
 
 repo files → ONE plain Ray map task per read unit: read the unit's rows
 in slices of ``BATCH_SIZE`` rows, then per slice extract/sha256 →
-expand+toRDF (``expand_batch``: a per-worker stage cached on the
-broadcast context snapshot) → per-partition partial dedup → route: one
+expand+toRDF (``expand_batch``: one stage per worker process, built from
+the constant context snapshot) → per-partition partial dedup → route: one
 spill file per exchange group present → one reduce task per group keeps
 the least copy of each (partition, quad) and writes partitioned (subj,
 pred, obj) Parquet → per-partition manifest entries, then ``job.json``,
@@ -26,8 +26,8 @@ output, Ray Data 2.49 assumes each task will hold 2 x 128 MiB of object
 store, so under a small store it starts one task and holds the rest
 until the first one ends.
 
-A map task hands each slice to one sink, ``sink(slice, snapshot, slice
-name)``. The per-document views (``status_batch``, ``events_batch``,
+A map task hands each slice to one sink, ``sink(slice, slice name)``.
+The per-document views (``status_batch``, ``events_batch``,
 ``canonical_batch``, ``expand_batch``, ``transform.api_batch``; sink
 ``_write_view``, through ``map_docs``) write each slice's projection as
 one Parquet file, and the view is those files read back. The flagship
@@ -53,7 +53,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from ..sources.contexts import build_context_snapshot
 from ..sources.repo_files import repo_files_path, sf_from_dir
 from ..stages.dedup import partial_dedup_batch
 from ..stages.expand_quads import QUAD_SCHEMA, expand_batch
@@ -131,42 +130,38 @@ def read_unit(unit: list[tuple[str, int, int]],
                 start = end
 
 
-def _route_quads(batch: pa.Table, snapshot_ref, name: str, route,
+def _route_quads(batch: pa.Table, name: str, route,
                  partial=partial_dedup_batch) -> None:
     """The exchange's sink: expand → ``partial`` (the flagship's partial
     dedup, or an aggregate's combiner) → ``route``, which spills under the
     slice's ``name``, so the spills of a retried attempt replace those of
     the attempt that died."""
-    route(partial(expand_batch(batch, snapshot_ref)), name=name)
+    route(partial(expand_batch(batch)), name=name)
 
 
-def _write_view(batch: pa.Table, snapshot_ref, name: str, task,
-                out_dir: str) -> None:
+def _write_view(batch: pa.Table, name: str, task, out_dir: str) -> None:
     """A view's sink: ``task``'s output for the slice, when it has rows,
     as ``<out_dir>/<name>.parquet``."""
-    result = task(batch, snapshot_ref)
+    result = task(batch)
     if result.num_rows:
         pq.write_table(result, os.path.join(out_dir, name + ".parquet"))
 
 
 @ray.remote
-def _map_unit(unit: list, sink, snapshot_ref, batch_size: int, stop: str,
-              name: str) -> None:
-    """One map task: ``sink(extract(slice), snapshot, slice name)`` on each
-    slice of one read unit (``read_unit``); slice ``i`` is named
-    ``<name>-<i>``. It ends early, before its read or after a slice, once
-    the file ``stop`` exists. ``snapshot_ref`` comes wrapped in a list,
-    so Ray passes the ref and not the snapshot it names."""
+def _map_unit(unit: list, sink, batch_size: int, stop: str, name: str) -> None:
+    """One map task: ``sink(extract(slice), slice name)`` on each slice of
+    one read unit (``read_unit``); slice ``i`` is named ``<name>-<i>``. It
+    ends early, before its read or after a slice, once the file ``stop``
+    exists."""
     if os.path.exists(stop):
         return
     for i, batch in enumerate(read_unit(unit, batch_size)):
-        sink(extract_batch(batch, DEFAULT_PARTITIONS), snapshot_ref[0],
-             f"{name}-{i:05d}")
+        sink(extract_batch(batch, DEFAULT_PARTITIONS), f"{name}-{i:05d}")
         if os.path.exists(stop):
             return
 
 
-def _map_all(sizing: tuple, sink, snapshot_ref, stop: str) -> None:
+def _map_all(sizing: tuple, sink, stop: str) -> None:
     """Submits one ``_map_unit`` per read unit of ``sizing`` (``plan``),
     all at once, and waits for them; unit ``k``'s slices are named
     ``part-<k>-<i>``. If a task raises, the file ``stop`` tells the others
@@ -178,8 +173,7 @@ def _map_all(sizing: tuple, sink, snapshot_ref, stop: str) -> None:
     manager and abort the driver process (seen with 6 map tasks on 4
     CPUs, two of them failing)."""
     units, _, batch_size = sizing
-    refs = [_map_unit.remote(unit, sink, [snapshot_ref], batch_size, stop,
-                             f"part-{k:05d}")
+    refs = [_map_unit.remote(unit, sink, batch_size, stop, f"part-{k:05d}")
             for k, unit in enumerate(units)]
     try:
         ray.get(refs)
@@ -193,7 +187,7 @@ def map_docs(input_path: str, task, out_dir: str):
     """One projection of the per-document kernel pass over the repo files
     of ``input_path`` (``expand_batch``, ``status_batch``,
     ``canonical_batch``, ``events_batch`` or ``transform.api_batch``),
-    with the stage cached per worker on the ``ray.put`` context snapshot.
+    on each worker process's one stage (``expand_quads._stage``).
 
     It runs the flagship's map (``_map_all``): one plain task per read
     unit, extract and ``task`` on slices of ``BATCH_SIZE`` rows. Each
@@ -202,12 +196,11 @@ def map_docs(input_path: str, task, out_dir: str):
     blocks; the result is those files as a Dataset. With no output rows
     it is an empty Dataset with the view's columns."""
     os.makedirs(out_dir, exist_ok=True)
-    snapshot = build_context_snapshot()
     _map_all(plan(checkpoint.input_files(input_path)),
              functools.partial(_write_view, task=task, out_dir=out_dir),
-             ray.put(snapshot), os.path.join(out_dir, "_stop"))
+             os.path.join(out_dir, "_stop"))
     return _read_back(out_dir, lambda: task(extract_batch(
-        EMPTY_REPO_FILES, DEFAULT_PARTITIONS), snapshot))
+        EMPTY_REPO_FILES, DEFAULT_PARTITIONS)))
 
 
 def _read_back(out_dir: str, empty):
@@ -222,19 +215,18 @@ def exchange(sizing: tuple, out_dir: str, task, key,
              reduce) -> tuple[dict, dict]:
     """The KG path's one exchange (stages/partition_sink.py) with the read
     units and G of ``sizing`` (``plan``): one ``_map_unit`` per read unit
-    runs ``task(slice, snapshot_ref, name, route)`` on each slice, where
-    ``route`` spills the rows per group of ``key``; then one ``reduce``
-    task per group writes under ``out_dir``. The spills are removed, after
-    a failure too. Returns the union of the reduces' dicts and the two
+    runs ``task(slice, name, route)`` on each slice, where ``route``
+    spills the rows per group of ``key``; then one ``reduce`` task per
+    group writes under ``out_dir``. The spills are removed, after a
+    failure too. Returns the union of the reduces' dicts and the two
     phases' seconds."""
     num_groups = sizing[1]
     pool = WriterPool(out_dir, num_groups, reduce=reduce)
-    snapshot_ref = ray.put(build_context_snapshot())
     try:
         t0 = time.time()
         _map_all(sizing, functools.partial(
             task, route=make_router(pool.handles(), num_groups, key)),
-            snapshot_ref, os.path.join(pool.spill_root, "_stop"))
+            os.path.join(pool.spill_root, "_stop"))
         t1 = time.time()
         merged = pool.finalize()
     finally:

@@ -2,9 +2,11 @@
 
 Replaces the reference's network document loader
 (/root/reference/lib/documentLoaders/node.js) with a deterministic
-in-memory snapshot of "remote" contexts, shipped to every actor via
-``ray.put`` broadcast (SURVEY.md §2.4: the schema.org-like context is the
-skewed hot key — used by ~60% of documents, resolved once per worker)."""
+in-memory snapshot of "remote" contexts. It is a constant, so each
+worker process builds it once for itself and nothing ships it
+(stages/expand_quads.py ``_stage``; SURVEY.md §2.4: the schema.org-like
+context is the skewed hot key — used by ~60% of documents, resolved once
+per worker)."""
 
 from __future__ import annotations
 
@@ -52,7 +54,8 @@ def _schema_like_context() -> dict:
 
 
 def build_context_snapshot() -> dict:
-    """url → parsed context document (the broadcast small side)."""
+    """url → parsed context document (the small side every worker
+    process builds for itself)."""
     return {
         SCHEMA_LIKE: _schema_like_context(),
         SMALL1: {"@context": {"@vocab": "http://small1.example/",
@@ -64,14 +67,3 @@ def build_context_snapshot() -> dict:
         CHAIN: {"@context": [SMALL1,
                              {"extra": "http://chain.example/extra"}]},
     }
-
-
-def load_snapshot(ref=None) -> dict:
-    """The snapshot a stage runs with: a dict as given, a ``ray.put``
-    object ref fetched, or, for None, a fresh local build."""
-    if ref is None:
-        return build_context_snapshot()
-    if isinstance(ref, dict):
-        return ref
-    import ray
-    return ray.get(ref)

@@ -13,8 +13,11 @@ a plain function, so it fuses with the stages around it. Per-stage state
 module-level context caches, jsonld.js lib/jsonld.js:100-103,
 lib/ContextResolver.js:26-29):
 
-  * the broadcast context snapshot (``ray.put`` object ref or plain dict),
+  * the offline context snapshot (``sources.contexts``, a constant),
   * a ContextResolver with its processed-context LRU.
+
+The task functions share one stage per worker process (``_stage``), so
+that LRU lasts as long as the process.
 
 Blank-node labels are made globally unique without coordination by
 prefixing each document's canonical ``_:c14n<n>`` labels with
@@ -34,7 +37,7 @@ from ..core.node_map import IdentifierIssuer
 from ..core.nquads import serialize
 from ..core.resolver import ContextResolver
 from ..core.to_rdf import OBJ_BNODE, to_rdf
-from ..sources.contexts import load_snapshot
+from ..sources.contexts import build_context_snapshot
 
 # RDFC-1.0 work budget (HNDQ calls) per document; a graph that needs more
 # keeps its issuance-order labels and gets an RDFC_FALLBACK warning
@@ -140,8 +143,11 @@ class ExpandToQuads:
     document, projected as quads, status, canonical N-Quads or events
     (callable class; tasks reach it through the ``*_batch`` functions)."""
 
-    def __init__(self, snapshot_ref=None):
-        self.resolver = ContextResolver(load_snapshot(snapshot_ref))
+    def __init__(self, snapshot_ref: Optional[dict] = None):
+        # a snapshot dict, or None for the constant one
+        self.resolver = ContextResolver(
+            build_context_snapshot() if snapshot_ref is None
+            else snapshot_ref)
 
     def docs(self, batch: pa.Table) -> Iterator[tuple]:
         """Yield ``(lineage, status, error_code, quads, events)`` per row:
@@ -233,38 +239,38 @@ class ExpandToQuads:
         return _table(EVENT_SCHEMA, rows)
 
 
-# (snapshot_ref, ExpandToQuads) of the last snapshot this worker process
-# ran the kernel with. It must live at module level: Ray pickles a nested
-# function's globals by value, so a closure's cache would start empty in
-# every task.
-_STAGE: Optional[tuple] = None
+# The ExpandToQuads of this worker process, built by its first task. It
+# must live at module level: Ray pickles a nested function's globals by
+# value, so a closure's cache would start empty in every task.
+_STAGE: Optional[ExpandToQuads] = None
 
 
-def _stage(snapshot_ref) -> ExpandToQuads:
-    """One stage per worker process, shared by the four task functions,
-    reused across tasks while ``snapshot_ref`` stays the same and rebuilt
-    when a new snapshot arrives (only the latest is kept)."""
+def _stage() -> ExpandToQuads:
+    """One stage per worker process, shared by the four task functions
+    and ``transform.api_batch`` and kept for the life of the process: the
+    snapshot is a constant, and a processed-context cache hit replays the
+    events it captured."""
     global _STAGE
-    if _STAGE is None or _STAGE[0] != snapshot_ref:
-        _STAGE = (snapshot_ref, ExpandToQuads(snapshot_ref=snapshot_ref))
-    return _STAGE[1]
+    if _STAGE is None:
+        _STAGE = ExpandToQuads()
+    return _STAGE
 
 
-def expand_batch(batch: pa.Table, snapshot_ref) -> pa.Table:
+def expand_batch(batch: pa.Table) -> pa.Table:
     """Task-side ``ExpandToQuads.__call__``: the quad rows."""
-    return _stage(snapshot_ref)(batch)
+    return _stage()(batch)
 
 
-def status_batch(batch: pa.Table, snapshot_ref) -> pa.Table:
+def status_batch(batch: pa.Table) -> pa.Table:
     """Task-side ``ExpandToQuads.status``."""
-    return _stage(snapshot_ref).status(batch)
+    return _stage().status(batch)
 
 
-def canonical_batch(batch: pa.Table, snapshot_ref) -> pa.Table:
+def canonical_batch(batch: pa.Table) -> pa.Table:
     """Task-side ``ExpandToQuads.canonical``."""
-    return _stage(snapshot_ref).canonical(batch)
+    return _stage().canonical(batch)
 
 
-def events_batch(batch: pa.Table, snapshot_ref) -> pa.Table:
+def events_batch(batch: pa.Table) -> pa.Table:
     """Task-side ``ExpandToQuads.events``."""
-    return _stage(snapshot_ref).events(batch)
+    return _stage().events(batch)

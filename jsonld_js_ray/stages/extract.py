@@ -22,13 +22,15 @@ DEFAULT_PARTITIONS = 64
 
 def extract_batch(batch: pa.Table,
                   num_partitions: int = DEFAULT_PARTITIONS) -> pa.Table:
-    """Append content_sha256, is_jsonld, partition_id columns."""
+    """Append content_sha256, is_jsonld, partition_id columns. A row whose
+    content is null is not JSON-LD and has a null content_sha256."""
     contents = batch.column("content")
     langs = batch.column("lang").to_pylist()
     repos = batch.column("repo").to_pylist()
 
     # sha256 per row (C-speed per call; content bytes dominate)
-    shas = [hashlib.sha256(c.encode("utf-8")).hexdigest()
+    shas = [None if c is None
+            else hashlib.sha256(c.encode("utf-8")).hexdigest()
             for c in contents.to_pylist()]
 
     # candidate sniff: declared lang, or structural "looks like JSON-LD"
@@ -37,7 +39,8 @@ def extract_batch(batch: pa.Table,
     has_at = pc.match_substring(contents, '"@')
     structural = pc.and_(pc.or_(starts_obj, starts_arr), has_at)
     lang_ok = pa.array([lg in _JSONLD_LANGS for lg in langs], pa.bool_())
-    is_jsonld = pc.or_(lang_ok, structural)
+    # ``structural`` is null where the content is null: not JSON-LD
+    is_jsonld = pc.or_(lang_ok, structural).fill_null(False)
 
     # deterministic partition key of the hive-partitioned output
     # (SURVEY.md §4.3.5: partition_id = hash(repo) % P)

@@ -27,8 +27,7 @@ OUT_COLS = {"expand": "expanded", "flatten": "flattened",
             "compact": "compacted", "frame": "framed"}
 
 
-def api_batch(batch: pa.Table, snapshot_ref, op: str,
-              arg=None) -> pa.Table:
+def api_batch(batch: pa.Table, op: str, arg=None) -> pa.Table:
     """Repo-files batch → ``(repo, path, <OUT_COLS[op]>, transform_ok)``
     for the rows whose ``lang`` is jsonld or json. ``arg`` is the
     compaction context (compact) or the frame (frame)."""
@@ -36,7 +35,7 @@ def api_batch(batch: pa.Table, snapshot_ref, op: str,
                                   value_set=pa.array(["jsonld", "json"])))
     fn = getattr(api, op)
     # the API's own defaults apply: empty base, processingMode 1.1
-    opts = {"contextResolver": expand_quads._stage(snapshot_ref).resolver}
+    opts = {"contextResolver": expand_quads._stage().resolver}
     out, ok = [], []
     for content in batch.column("content").to_pylist():
         try:

@@ -109,7 +109,7 @@ def test_link_cycle_identity_with_context():
 
 
 class TestTransformStages:
-    """``stages.transform.api_batch`` without Ray (snapshot_ref None)."""
+    """``stages.transform.api_batch`` without Ray."""
 
     def _doc_batch(self, docs):
         contents = [d if isinstance(d, str) else json.dumps(d)
@@ -125,19 +125,19 @@ class TestTransformStages:
         docs = [{"@context": {"@vocab": V}, "@id": V + "a", "name": "x",
                  "child": {"name": "y"}}]
         batch = self._doc_batch(docs)
-        exp = api_batch(batch, None, "expand")
+        exp = api_batch(batch, "expand")
         assert exp.column_names == ["repo", "path", "expanded",
                                     "transform_ok"]
         assert exp.column("transform_ok").to_pylist() == [True]
         expanded = json.loads(exp.column("expanded")[0].as_py())
         assert expanded == api.expand(docs[0])
 
-        flat = api_batch(batch, None, "flatten")
+        flat = api_batch(batch, "flatten")
         assert json.loads(flat.column("flattened")[0].as_py()) == \
             api.flatten(docs[0])
 
         ctx = {"@vocab": V}
-        comp = api_batch(batch, None, "compact", ctx)
+        comp = api_batch(batch, "compact", ctx)
         assert json.loads(comp.column("compacted")[0].as_py()) == \
             api.compact(docs[0], ctx)
 
@@ -146,7 +146,7 @@ class TestTransformStages:
         doc = {"@context": {"@vocab": V},
                "@graph": [{"@id": V + "a", "@type": "T", "name": "x"}]}
         frame = {"@context": {"@vocab": V}, "@type": "T"}
-        out = api_batch(self._doc_batch([doc]), None, "frame", frame)
+        out = api_batch(self._doc_batch([doc]), "frame", frame)
         framed = json.loads(out.column("framed")[0].as_py())
         assert framed == api.frame(doc, frame)
 
@@ -156,7 +156,7 @@ class TestTransformStages:
         from jsonld_js_ray.stages.transform import api_batch
         # a cold per-worker stage, as in a fresh worker process
         monkeypatch.setattr(expand_quads, "_STAGE", None)
-        resolver = expand_quads._stage(None).resolver
+        resolver = expand_quads._stage().resolver
         lookups = []
         get = resolver.get_processed
 
@@ -167,10 +167,10 @@ class TestTransformStages:
 
         monkeypatch.setattr(resolver, "get_processed", counting)
         batch = self._doc_batch([{"@context": SCHEMA_LIKE, "name": "x"}])
-        first = api_batch(batch, None, "expand")
+        first = api_batch(batch, "expand")
         assert lookups and not any(lookups)
         lookups.clear()
-        second = api_batch(batch, None, "expand")
+        second = api_batch(batch, "expand")
         assert lookups and all(lookups)
         assert second.equals(first)
 
@@ -179,7 +179,7 @@ class TestTransformStages:
         batch = self._doc_batch(
             ["{not json", '{"@context": 5, "@id": "http://x"}',
              {"@id": V + "a", V + "p": "v"}])
-        out = api_batch(batch, None, "expand")
+        out = api_batch(batch, "expand")
         assert out.column("transform_ok").to_pylist() == [False, False,
                                                           True]
         assert out.column("expanded").to_pylist()[:2] == [None, None]
@@ -194,7 +194,7 @@ class TestTransformStages:
 
         monkeypatch.setattr(api, "expand", broken)
         with pytest.raises(AttributeError, match="planted"):
-            api_batch(self._doc_batch([{"@id": V + "a"}]), None, "expand")
+            api_batch(self._doc_batch([{"@id": V + "a"}]), "expand")
 
 
 # the per-op argument each jsonld_*_docs query promises, restated here so

@@ -137,34 +137,31 @@ def test_keep_least_matches_reference(keys):
     (eq.canonical_batch, eq.ExpandToQuads.canonical),
     (eq.events_batch, eq.ExpandToQuads.events),
 ], ids=["expand_batch", "status_batch", "canonical_batch", "events_batch"])
-def test_expand_batch_reuses_stage_per_snapshot_ref(ray_session, task, view):
-    import ray
+def test_expand_batch_reuses_stage_per_snapshot_ref(task, view):
+    # one stage per process, shared by the four task functions and kept
+    # from call to call; its output equals a stage built from a snapshot
+    # dict, as kgbench builds it
     from jsonld_js_ray.sources.contexts import build_context_snapshot
-    snapshot = build_context_snapshot()
     batch = extract_batch(generate_repo_files(40))
-    ref1 = ray.put(snapshot)
-    eq.expand_batch(batch, ref1)
-    stage = eq._STAGE[1]
-    out = task(batch, ref1)
-    # the four task functions share one stage per snapshot
-    assert eq._STAGE[1] is stage
-    assert out.equals(view(eq.ExpandToQuads(snapshot_ref=snapshot), batch))
-    ref2 = ray.put(snapshot)
-    assert task(batch, ref2).equals(out)
-    assert eq._STAGE[1] is not stage and eq._STAGE[0] == ref2
+    eq.expand_batch(batch)
+    stage = eq._STAGE
+    out = task(batch)
+    assert eq._STAGE is stage
+    assert out.equals(view(eq.ExpandToQuads(
+        snapshot_ref=build_context_snapshot()), batch))
+    assert task(batch).equals(out)
+    assert eq._STAGE is stage
 
 
 def test_expand_batch_cache_hits_across_tasks(ray_session):
     # the cache must survive from one Ray task to the next in the same
     # worker process, not only within one task
     import ray
-    from jsonld_js_ray.sources.contexts import build_context_snapshot
-    ref = ray.put(build_context_snapshot())
     files = generate_repo_files(60)
 
     def tag(b):
-        eq.expand_batch(b, ref)
-        return pa.table({"pid": [os.getpid()], "stage": [id(eq._STAGE[1])]})
+        eq.expand_batch(b)
+        return pa.table({"pid": [os.getpid()], "stage": [id(eq._STAGE)]})
 
     ds = ray.data.from_arrow([extract_batch(files.slice(i, 10))
                               for i in range(0, 60, 10)])
@@ -174,6 +171,36 @@ def test_expand_batch_cache_hits_across_tasks(ray_session):
     stages_per_pid = out.groupby("pid")["stage"].nunique()
     assert (stages_per_pid == 1).all()
     assert out["pid"].nunique() < len(out)
+
+
+def test_second_view_call_starts_on_warm_stages(ray_session, tmp_path,
+                                                monkeypatch):
+    # a worker's stage, and with it its processed-context LRU, outlives
+    # one call: a worker that ran slices of the first call starts the
+    # second with the contexts it processed then, and the rows are equal
+    from jsonld_js_ray.pipelines import kg
+    corpus = _corpus(tmp_path, generate_repo_files(200), n_files=4)
+    monkeypatch.setattr(kg, "BATCH_SIZE", 25)
+
+    def events_on_cache(batch):
+        # one row per slice: its worker, the size of that worker's LRU
+        # before the slice and after it, and the slice's events rows
+        cached = len(eq._stage().resolver._processed._d)
+        events = eq.events_batch(batch)
+        return pa.table({
+            "pid": [os.getpid()], "cached": [cached],
+            "cached_after": [len(eq._stage().resolver._processed._d)],
+            "events": [json.dumps(events.to_pylist(), sort_keys=True)]})
+
+    first, second = (kg.map_docs(corpus, events_on_cache,
+                                 str(tmp_path / run)).to_pandas()
+                     for run in ("first", "second"))
+    assert sorted(second["events"]) == sorted(first["events"])
+    assert any(json.loads(rows) for rows in first["events"])
+    assert (first["cached_after"] > 0).all()
+    reused = second[second["pid"].isin(first["pid"])]
+    assert len(reused) > 0
+    assert (reused["cached"] > 0).all()
 
 
 def _hashed_quads(n_files=200):
@@ -293,6 +320,31 @@ def _oracle_pairs(table: pa.Table) -> Counter:
 def _written_pairs(out: str) -> Counter:
     return _pairs(pads.dataset(out + "/quads", partitioning="hive")
                   .to_table())
+
+
+def test_null_content_row_is_skipped(ray_session, tmp_path):
+    # a row whose content is null is not JSON-LD, even when its lang says
+    # jsonld: the job commits the same quads as over the input without it
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    table = generate_repo_files(200)
+    row = table.column("lang").to_pylist().index("jsonld")
+    content = table.column("content").to_pylist()
+    content[row] = None
+    planted = table.set_column(
+        table.schema.get_field_index("content"), "content",
+        pa.array(content, table.schema.field("content").type))
+    without = pa.concat_tables([table.slice(0, row), table.slice(row + 1)])
+    quads = {}
+    for name, corpus in (("planted", planted), ("without", without)):
+        out = str(tmp_path / name / "out")
+        run_kg_pipeline(_corpus(tmp_path, corpus, 2, name + "_in"), out,
+                        resume=False)
+        df = pads.dataset(out + "/quads", partitioning="hive") \
+            .to_table().to_pandas()
+        quads[name] = df.sort_values(list(df.columns)) \
+            .reset_index(drop=True)
+    assert len(quads["planted"]) > 0
+    assert quads["planted"].equals(quads["without"])
 
 
 def _live_actors(settled=lambda ids: True, timeout: float = 10.0) -> set:
@@ -468,10 +520,10 @@ def test_rerouted_slice_is_counted_once(ray_session, tmp_path, monkeypatch,
     died = str(tmp_path / "died")
     route_quads = kg._route_quads
 
-    def reroute(batch, snapshot_ref, name, route, partial):
-        route_quads(batch, snapshot_ref, name, route, partial=partial)
+    def reroute(batch, name, route, partial):
+        route_quads(batch, name, route, partial=partial)
         if replay == "every_slice_twice":
-            route_quads(batch, snapshot_ref, name, route, partial=partial)
+            route_quads(batch, name, route, partial=partial)
             return
         try:
             os.close(os.open(died, os.O_CREAT | os.O_EXCL))

@@ -53,14 +53,14 @@ def wait_for_all_units(run):
         time.sleep(0.05)
 
 
-def route_once_all_started(batch, snapshot_ref, name, route):
+def route_once_all_started(batch, name, route):
     wait_for_all_units("job")
-    route_quads(batch, snapshot_ref, name, route)
+    route_quads(batch, name, route)
 
 
-def status_once_all_started(batch, snapshot_ref):
+def status_once_all_started(batch):
     wait_for_all_units("view")
-    return status_batch(batch, snapshot_ref)
+    return status_batch(batch)
 
 
 kg._route_quads = route_once_all_started
@@ -113,7 +113,7 @@ def test_failed_map_unit_stops_the_others_before_clean_up(
     entered_dir, routed_dir = str(entered), str(routed)
     route_quads = kg._route_quads
 
-    def route_or_raise(batch, snapshot_ref, name, route):
+    def route_or_raise(batch, name, route):
         if batch.column("repo")[0].as_py() == "planted/failing":
             # fail once another unit is mid-slice; the session may have
             # fewer free CPUs than units, so not all of them need be
@@ -132,7 +132,7 @@ def test_failed_map_unit_stops_the_others_before_clean_up(
         time.sleep(0.5)
         with open(os.path.join(routed_dir, uuid.uuid4().hex), "w") as fh:
             fh.write(repr(time.time()))
-        route_quads(batch, snapshot_ref, name, route)
+        route_quads(batch, name, route)
 
     monkeypatch.setattr(kg, "_route_quads", route_or_raise)
     monkeypatch.setattr(kg, "BATCH_SIZE", 10)

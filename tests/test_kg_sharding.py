@@ -16,7 +16,6 @@ import ray
 
 from jsonld_js_ray.pipelines import kg
 from jsonld_js_ray.pipelines.entity_link import merge_entities
-from jsonld_js_ray.sources.contexts import build_context_snapshot
 from jsonld_js_ray.sources.repo_files import generate_repo_files
 from jsonld_js_ray.stages.expand_quads import expand_batch, status_batch
 from jsonld_js_ray.stages.extract import extract_batch
@@ -76,7 +75,7 @@ def test_output_does_not_depend_on_input_sharding(tmp_path, monkeypatch,
     assert results[3] == results[1]
     assert results[8] == results[1]
     # n_docs counts each subject's distinct contents, not its copies
-    quads = expand_batch(extract_batch(table), build_context_snapshot())
+    quads = expand_batch(extract_batch(table))
     per_subject = quads.to_pandas().groupby("subject")
     assert summary == _row_list(per_subject.agg(
         n_quads=("content_sha256", "size"),
@@ -117,8 +116,7 @@ def test_read_units_are_files_or_one_per_cpu(tmp_path):
 
 def _view_columns(task) -> list:
     """The columns of ``task``'s view over rows that have JSON-LD."""
-    return task(extract_batch(generate_repo_files(20)),
-                build_context_snapshot()).column_names
+    return task(extract_batch(generate_repo_files(20))).column_names
 
 
 def test_input_of_no_rows_has_no_read_unit(tmp_path):
@@ -181,7 +179,7 @@ def test_kg_map_hands_the_kernel_batch_size_rows(tmp_path, monkeypatch):
         pq.write_table(table.slice(3000 + 10 * (k - 1), 10),
                        corpus / f"part-{k}.parquet")
 
-    def recording_route_quads(batch, snapshot_ref):
+    def recording_route_quads(batch):
         seen = []
 
         def route(quads, name):
@@ -189,7 +187,7 @@ def test_kg_map_hands_the_kernel_batch_size_rows(tmp_path, monkeypatch):
             # none
             seen.append(pa.table({"rows": [batch.num_rows], "quad_hash": [
                 "quad_hash2" in quads.column_names]}))
-        kg._route_quads(batch, snapshot_ref, "slice", route)
+        kg._route_quads(batch, "slice", route)
         return seen[0]
 
     monkeypatch.setattr(kg, "BATCH_SIZE", 1024)

@@ -45,6 +45,27 @@ def test_extract_of_no_rows_has_the_extract_columns(small_table):
     assert out.schema == extract_batch(small_table).schema
 
 
+def test_extract_null_content_is_not_jsonld(small_table):
+    # null content, under a JSON-LD lang and another: not JSON-LD, no
+    # sha256, and the kernel skips the row
+    import pyarrow as pa
+    table = small_table.slice(0, 3)
+    content = table.column("content").to_pylist()
+    content[0] = content[1] = None
+    table = table.set_column(
+        table.schema.get_field_index("content"), "content",
+        pa.array(content, table.schema.field("content").type)).set_column(
+        table.schema.get_field_index("lang"), "lang",
+        pa.array(["jsonld", "python", "jsonld"]))
+    out = extract_batch(table)
+    assert out.column("is_jsonld").to_pylist() == [False, False, True]
+    assert out.column("content_sha256").to_pylist()[:2] == [None, None]
+    assert out.column("content_sha256")[2].as_py() == \
+        hashlib.sha256(content[2].encode()).hexdigest()
+    status = ExpandToQuads().status(out).column("status").to_pylist()
+    assert status[:2] == ["skipped", "skipped"]
+
+
 def test_expand_stage_local(small_table):
     batch = extract_batch(small_table)
     stage = ExpandToQuads()  # local snapshot fallback

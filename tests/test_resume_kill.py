@@ -50,8 +50,8 @@ if kill_point == "mid_stream":
     # runs in the map tasks: route the first slice, then block
     route_quads = kg._route_quads
 
-    def route_then_block(batch, snapshot_ref, name, route):
-        route_quads(batch, snapshot_ref, name, route)
+    def route_then_block(batch, name, route):
+        route_quads(batch, name, route)
         block_here()
 
     kg._route_quads = route_then_block
